@@ -61,6 +61,89 @@ struct DrainChunk {
     token: u64,
 }
 
+/// The dirty (absorbed, not yet drained) extents of one `(file, ost)`,
+/// indexed so a read's coverage check costs one predecessor lookup plus
+/// a walk over the boundaries inside the read, not a pass over every
+/// extent.
+#[derive(Debug, Default)]
+struct DirtyExtents {
+    /// Boundary map: the value at `k` is how many dirty extents cover
+    /// `[k, next key)`. Kept canonical (no key repeats its predecessor's
+    /// count, and counts before the first key are 0), so a run of
+    /// adjacent extents is a single segment.
+    bounds: BTreeMap<u64, u32>,
+    /// The exact multiset of `(offset, len)` pieces, so removal matches
+    /// one absorbed chunk exactly.
+    pieces: HashMap<(u64, u64), u32>,
+}
+
+impl DirtyExtents {
+    fn insert(&mut self, offset: u64, len: u64) {
+        *self.pieces.entry((offset, len)).or_default() += 1;
+        self.shift(offset, offset + len, true);
+    }
+
+    /// Remove one `(offset, len)` piece; removing an absent piece is a
+    /// no-op.
+    fn remove(&mut self, offset: u64, len: u64) {
+        let Some(n) = self.pieces.get_mut(&(offset, len)) else {
+            return;
+        };
+        *n -= 1;
+        if *n == 0 {
+            self.pieces.remove(&(offset, len));
+        }
+        self.shift(offset, offset + len, false);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.pieces.is_empty()
+    }
+
+    /// True when the union of the pieces covers `[start, end)`; an empty
+    /// range is always covered.
+    fn covers(&self, start: u64, end: u64) -> bool {
+        start == end
+            || (self.count_at(start) > 0 && self.bounds.range(start + 1..end).all(|(_, &c)| c > 0))
+    }
+
+    /// How many pieces cover the byte at `at`.
+    fn count_at(&self, at: u64) -> u32 {
+        self.bounds.range(..=at).next_back().map_or(0, |(_, &c)| c)
+    }
+
+    /// How many pieces cover the byte just before `at`.
+    fn count_below(&self, at: u64) -> u32 {
+        self.bounds.range(..at).next_back().map_or(0, |(_, &c)| c)
+    }
+
+    /// Add or take one cover from `[start, end)`: split the boundaries at
+    /// both ends, shift the counts inside, then merge the ends back.
+    fn shift(&mut self, start: u64, end: u64, add: bool) {
+        if start == end {
+            return;
+        }
+        for at in [start, end] {
+            if !self.bounds.contains_key(&at) {
+                let c = self.count_below(at);
+                self.bounds.insert(at, c);
+            }
+        }
+        for (_, c) in self.bounds.range_mut(start..end) {
+            if add {
+                *c += 1;
+            } else {
+                *c -= 1;
+            }
+        }
+        for at in [start, end] {
+            if self.bounds.get(&at) == Some(&self.count_below(at)) {
+                self.bounds.remove(&at);
+            }
+        }
+    }
+}
+
 /// Why a local SSD completion is pending.
 enum SsdPending {
     /// A client write absorbed into the buffer; reply when SSD finishes.
@@ -135,7 +218,7 @@ pub struct IoNode {
     capacity: u64,
     used: u64,
     /// Dirty (absorbed, not yet drained) extents per (file, ost).
-    dirty: HashMap<(FileId, OstId), Vec<(u64, u64)>>,
+    dirty: HashMap<(FileId, OstId), DirtyExtents>,
     drain_queue: VecDeque<DrainChunk>,
     active_drains: usize,
     drain_streams: usize,
@@ -253,38 +336,25 @@ impl IoNode {
         self.used == 0 && self.drain_queue.is_empty() && self.active_drains == 0
     }
 
+    fn add_dirty(&mut self, file: FileId, ost: OstId, offset: u64, len: u64) {
+        self.dirty
+            .entry((file, ost))
+            .or_default()
+            .insert(offset, len);
+    }
+
     fn dirty_covers(&self, file: FileId, ost: OstId, offset: u64, len: u64) -> bool {
-        let Some(extents) = self.dirty.get(&(file, ost)) else {
-            return false;
-        };
-        // Merge-and-check over a sorted copy: extents lists are short
-        // (bounded by in-flight chunks for one file on one OST).
-        let mut sorted = extents.clone();
-        sorted.sort_unstable();
-        let (start, end) = (offset, offset + len);
-        let mut covered_to = start;
-        for (o, l) in sorted {
-            if o > covered_to {
-                break;
-            }
-            covered_to = covered_to.max(o + l);
-            if covered_to >= end {
-                return true;
-            }
-        }
-        covered_to >= end
+        self.dirty
+            .get(&(file, ost))
+            .is_some_and(|d| d.covers(offset, offset + len))
     }
 
     fn remove_dirty(&mut self, chunk: &DrainChunk) {
-        if let Some(extents) = self.dirty.get_mut(&(chunk.file, chunk.ost)) {
-            if let Some(pos) = extents
-                .iter()
-                .position(|&(o, l)| o == chunk.obj_offset && l == chunk.len)
-            {
-                extents.swap_remove(pos);
-            }
+        let key = (chunk.file, chunk.ost);
+        if let Some(extents) = self.dirty.get_mut(&key) {
+            extents.remove(chunk.obj_offset, chunk.len);
             if extents.is_empty() {
-                self.dirty.remove(&(chunk.file, chunk.ost));
+                self.dirty.remove(&key);
             }
         }
     }
@@ -568,10 +638,7 @@ impl Entity<PfsMsg> for IoNode {
                         self.stats.peak_used = self.stats.peak_used.max(self.used);
                         self.stats.absorbed_writes += 1;
                         self.stats.absorbed_bytes += req.len;
-                        self.dirty
-                            .entry((req.file, req.ost))
-                            .or_default()
-                            .push((req.obj_offset, req.len));
+                        self.add_dirty(req.file, req.ost, req.obj_offset, req.len);
                         let queue_delay = self.ssd.queue_delay(now);
                         let completion =
                             self.ssd.access(now, IoKind::Write, req.obj_offset, req.len);
@@ -850,6 +917,7 @@ mod tests {
     use crate::oss::Oss;
     use pioeval_des::{SimConfig, Simulation};
     use pioeval_types::SimTime;
+    use proptest::prelude::*;
 
     struct Collector {
         replies: Vec<(SimTime, IoReply)>,
@@ -1034,17 +1102,10 @@ mod tests {
 
     #[test]
     fn dirty_coverage_requires_full_overlap() {
-        let node = {
-            let (mut sim, ionode, client, _) = setup(1 << 30);
-            sim.schedule(SimTime::ZERO, ionode, write_req(1, client, 0, 4096));
-            sim.schedule(SimTime::ZERO, ionode, write_req(2, client, 8192, 4096));
-            // Stop before drains complete so extents are still dirty.
-            let cfg = SimConfig {
-                time_limit: Some(SimTime::from_millis(1)),
-                ..SimConfig::default()
-            };
-            let _ = cfg;
-            sim.run();
+        let (mut sim, ionode, client, _) = setup(1 << 30);
+        sim.schedule(SimTime::ZERO, ionode, write_req(1, client, 0, 4096));
+        sim.schedule(SimTime::ZERO, ionode, write_req(2, client, 8192, 4096));
+        let coverage = |sim: &Simulation<PfsMsg>| {
             let n = sim.entity_ref::<IoNode>(ionode).unwrap();
             (
                 n.dirty_covers(FileId::new(0), OstId::new(0), 0, 4096),
@@ -1052,8 +1113,15 @@ mod tests {
                 n.dirty_covers(FileId::new(0), OstId::new(0), 0, 12288),
             )
         };
-        // After full drain nothing is covered.
-        assert_eq!(node, (false, false, false));
+        // Stop before the ~4 ms HDD drains land, so both extents are
+        // still dirty: only a read inside one of them is covered.
+        sim.set_time_limit(Some(SimTime::from_micros(100)));
+        sim.run();
+        assert_eq!(coverage(&sim), (true, false, false));
+        // After the full drain nothing is covered.
+        sim.set_time_limit(None);
+        sim.run();
+        assert_eq!(coverage(&sim), (false, false, false));
     }
 
     #[test]
@@ -1065,12 +1133,99 @@ mod tests {
             EntityId(0),
             vec![EntityId(0)],
         );
-        let key = (FileId::new(1), OstId::new(0));
-        n.dirty.insert(key, vec![(4096, 4096), (0, 4096)]);
+        n.add_dirty(FileId::new(1), OstId::new(0), 4096, 4096);
+        n.add_dirty(FileId::new(1), OstId::new(0), 0, 4096);
         assert!(n.dirty_covers(FileId::new(1), OstId::new(0), 0, 8192));
         assert!(n.dirty_covers(FileId::new(1), OstId::new(0), 1000, 2000));
         assert!(!n.dirty_covers(FileId::new(1), OstId::new(0), 0, 8193));
         assert!(!n.dirty_covers(FileId::new(1), OstId::new(0), 10000, 10));
+    }
+
+    /// The merge-and-check scan the index replaced: sort the extents and
+    /// extend the covered prefix of `[offset, offset + len)`.
+    fn scan_covers(extents: &[(u64, u64)], offset: u64, len: u64) -> bool {
+        let mut sorted = extents.to_vec();
+        sorted.sort_unstable();
+        let (start, end) = (offset, offset + len);
+        let mut covered_to = start;
+        for (o, l) in sorted {
+            if o > covered_to {
+                break;
+            }
+            covered_to = covered_to.max(o + l);
+            if covered_to >= end {
+                return true;
+            }
+        }
+        covered_to >= end
+    }
+
+    /// The boundary map is canonical: it starts above zero, ends at
+    /// zero, and no key repeats its predecessor's count.
+    fn assert_canonical(d: &DirtyExtents) {
+        let mut prev = 0;
+        for (&at, &c) in &d.bounds {
+            assert_ne!(c, prev, "redundant boundary at {at}: {:?}", d.bounds);
+            prev = c;
+        }
+        assert_eq!(prev, 0, "coverage runs off the end: {:?}", d.bounds);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random add / remove / query sequences on a small offset grid
+        /// (so re-writes overlap, duplicate and abut), checked against
+        /// the scan over the same multiset. Lengths include 0; removals
+        /// pick a live piece or an arbitrary, possibly absent one.
+        #[test]
+        fn dirty_index_matches_the_scan(
+            ops in prop::collection::vec(
+                (0u8..4, 0u64..24, prop::sample::select(vec![0u64, 1, 2, 3, 4, 8])),
+                1..80,
+            ),
+            queries in prop::collection::vec((0u64..28, 0u64..12), 1..12),
+        ) {
+            let (file, ost) = (FileId::new(3), OstId::new(1));
+            let mut n = IoNode::new(DeviceConfig::nvme(), 1 << 30, 1, EntityId(0), vec![]);
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            let drain = |obj_offset, len| DrainChunk { file, ost, obj_offset, len, token: 1 };
+            for &(kind, offset, len) in &ops {
+                match kind {
+                    0 | 1 => {
+                        n.add_dirty(file, ost, offset, len);
+                        model.push((offset, len));
+                    }
+                    2 if !model.is_empty() => {
+                        let (o, l) = model.swap_remove(offset as usize % model.len());
+                        n.remove_dirty(&drain(o, l));
+                    }
+                    _ => {
+                        if let Some(pos) = model.iter().position(|&p| p == (offset, len)) {
+                            model.swap_remove(pos);
+                        }
+                        n.remove_dirty(&drain(offset, len));
+                    }
+                }
+                prop_assert_eq!(n.dirty.contains_key(&(file, ost)), !model.is_empty());
+                if let Some(d) = n.dirty.get(&(file, ost)) {
+                    assert_canonical(d);
+                }
+                let edges = model.iter().flat_map(|&(o, l)| [(o, l), (o, 0), (o + l, 1)]);
+                for (q_off, q_len) in queries.iter().copied().chain(edges) {
+                    prop_assert_eq!(
+                        n.dirty_covers(file, ost, q_off, q_len),
+                        !model.is_empty() && scan_covers(&model, q_off, q_len),
+                        "query ({}, {}) over {:?}", q_off, q_len, model
+                    );
+                }
+            }
+            // Drain what is left: the key must leave the map.
+            while let Some((o, l)) = model.pop() {
+                n.remove_dirty(&drain(o, l));
+            }
+            prop_assert!(n.dirty.is_empty(), "drained key left behind");
+        }
     }
 
     #[test]
