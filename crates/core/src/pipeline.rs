@@ -509,26 +509,23 @@ mod tests {
 
     #[test]
     fn parallel_executor_reproduces_measurement() {
-        use pioeval_des::{Backend, ParallelConfig, Partitioner};
+        use pioeval_des::{ParallelConfig, Partitioner};
         let source = WorkloadSource::Synthetic(Box::new(small_ior()));
         let stack = StackConfig::default;
         let seq = measure(&small_cluster(), &source, 4, stack(), 1).unwrap();
         let counts = profile_entity_counts(&small_cluster(), &source, 4, stack(), 1).unwrap();
         assert!(counts.iter().sum::<u64>() > 0);
-        for backend in [Backend::Threads, Backend::Cooperative] {
-            let exec = ExecMode::Parallel(ParallelConfig {
-                threads: 3,
-                partitioner: Partitioner::greedy_from_counts(&counts),
-                backend,
-                ..ParallelConfig::default()
-            });
-            let par = measure_with_exec(&small_cluster(), &source, 4, stack(), 1, &exec).unwrap();
-            assert_eq!(par.makespan(), seq.makespan(), "{backend:?}");
-            assert_eq!(par.profile.bytes_written(), seq.profile.bytes_written());
-            assert_eq!(par.profile.bytes_read(), seq.profile.bytes_read());
-            assert_eq!(par.mds_ops, seq.mds_ops);
-            assert_eq!(par.dxt.num_segments(), seq.dxt.num_segments());
-        }
+        let exec = ExecMode::Parallel(ParallelConfig {
+            threads: 3,
+            partitioner: Partitioner::greedy_from_counts(&counts),
+            ..ParallelConfig::default()
+        });
+        let par = measure_with_exec(&small_cluster(), &source, 4, stack(), 1, &exec).unwrap();
+        assert_eq!(par.makespan(), seq.makespan());
+        assert_eq!(par.profile.bytes_written(), seq.profile.bytes_written());
+        assert_eq!(par.profile.bytes_read(), seq.profile.bytes_read());
+        assert_eq!(par.mds_ops, seq.mds_ops);
+        assert_eq!(par.dxt.num_segments(), seq.dxt.num_segments());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! link with non-zero latency. Self-messages may use any delay.
 //!
 //! **Causality sanitizer.** Building with `--features causality-check`
-//! compiles per-worker Lamport-clock guards into both parallel backends
+//! compiles per-worker Lamport-clock guards into the parallel executor
 //! (the `causality` module, compiled only under that feature): every
 //! executed event is asserted to lie inside its
 //! worker's open window and at/above its committed horizon, and every

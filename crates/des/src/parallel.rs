@@ -39,10 +39,9 @@
 //! window policy, and any partitioner. `tests` assert this equivalence
 //! over the whole configuration matrix.
 //!
-//! On hosts without real hardware parallelism (or when one worker is
-//! requested) [`Backend::Auto`] selects a *cooperative* backend that runs
-//! the same window protocol on the calling thread with direct mailbox
-//! delivery — no barriers, no atomics — analogous to ROSS's serial mode.
+//! Every worker is one OS thread. A single requested worker runs the
+//! sequential loop instead, and a run with more workers than cores
+//! still works: the barrier stops spinning and yields.
 
 use crate::event::Envelope;
 use crate::queue::EventQueue;
@@ -130,39 +129,17 @@ impl Partitioner {
     }
 }
 
-/// Which execution backend carries the window protocol.
+/// The execution backend: one OS thread per worker with spin-barrier
+/// synchronization, the only one there is.
+///
+/// The type stays so that existing `ParallelConfig` literals that name
+/// `backend: Backend::Threads` (the pipeline benchmark in `pipebench/`
+/// builds one) keep compiling. Nothing matches on it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// Pick per host: [`Backend::Cooperative`] when only one hardware
-    /// core is available or one worker is requested, [`Backend::Threads`]
-    /// otherwise. The default.
+    /// One OS thread per worker. The default.
     #[default]
-    Auto,
-    /// One OS thread per worker with spin-barrier synchronization.
     Threads,
-    /// All workers multiplexed on the calling thread: same windows, same
-    /// partitioning, direct mailbox delivery, zero synchronization cost.
-    /// The profitable choice on single-core hosts, and useful for
-    /// deterministic debugging of a partitioned run.
-    Cooperative,
-}
-
-impl Backend {
-    fn resolve(self, threads: usize) -> Backend {
-        match self {
-            Backend::Auto => {
-                let cores = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                if threads == 1 || cores == 1 {
-                    Backend::Cooperative
-                } else {
-                    Backend::Threads
-                }
-            }
-            other => other,
-        }
-    }
 }
 
 /// Parallel executor configuration.
@@ -578,43 +555,29 @@ fn run_parallel_inner<M: Send + 'static>(
         // cross-worker hazard exists, so the horizon is unbounded and
         // the window machinery would only add overhead. Run inline.
         let res = sim.run();
-        let obs = pioeval_obs::global();
-        obs.counter(pioeval_obs::names::DES_RUNS_PAR).inc();
-        obs.counter(pioeval_obs::names::DES_PAR_RUNS_COOP).inc();
+        pioeval_obs::global()
+            .counter(pioeval_obs::names::DES_RUNS_PAR)
+            .inc();
         return (res, None);
     }
-    let backend = cfg.backend.resolve(threads);
     let lookahead = sim.lookahead();
     let stop_at = sim.config().time_limit.map(SimTime::as_nanos);
     let owners = cfg.partitioner.assign(n, threads);
     let mut workers = checkout(sim, &owners, threads);
 
-    let (stats, worker_profiles) = match backend {
-        Backend::Cooperative => run_cooperative(
-            cfg.window,
-            lookahead,
-            stop_at,
-            &owners,
-            &mut workers,
-            profile,
-        ),
-        _ => run_threaded(
-            cfg.window,
-            lookahead,
-            stop_at,
-            &owners,
-            &mut workers,
-            profile,
-        ),
-    };
+    let (stats, worker_profiles) = run_threaded(
+        cfg.window,
+        lookahead,
+        stop_at,
+        &owners,
+        &mut workers,
+        profile,
+    );
     let (events, end_max) = checkin(sim, &mut workers);
 
     let obs = pioeval_obs::global();
     obs.counter(pioeval_obs::names::DES_EVENTS).add(events);
     obs.counter(pioeval_obs::names::DES_RUNS_PAR).inc();
-    if backend == Backend::Cooperative {
-        obs.counter(pioeval_obs::names::DES_PAR_RUNS_COOP).inc();
-    }
     obs.gauge(pioeval_obs::names::DES_QUEUE_HWM)
         .record(stats.max_pending as u64);
     obs.counter(pioeval_obs::names::DES_PAR_WINDOWS)
@@ -632,11 +595,7 @@ fn run_parallel_inner<M: Send + 'static>(
 
     let profile_doc = worker_profiles.map(|ws| ExecProfile {
         threads: threads as u32,
-        backend: match backend {
-            Backend::Cooperative => "cooperative",
-            _ => "threads",
-        }
-        .to_string(),
+        backend: "threads".to_string(),
         window_policy: match cfg.window {
             WindowPolicy::Fixed => "fixed",
             WindowPolicy::Adaptive => "adaptive",
@@ -696,206 +655,6 @@ fn window_limiter(
     } else {
         NO_LIMITER
     }
-}
-
-/// Cooperative backend: the window protocol on the calling thread.
-///
-/// Two de-synchronization tricks beyond the threaded protocol, both
-/// enabled by turns running *sequentially*:
-///
-/// * **Staged emissions.** The window invariant guarantees a cross send
-///   is never below its destination's horizon, and an own send is below
-///   the sender's horizon only inside an adaptively widened window — so
-///   almost every emitted event is a plain append to a flat per-worker
-///   staging vector, bulk-heapified by [`EventQueue::push_batch`]'s
-///   rebuild path at the next flush point. The hot loop thus pops from
-///   a monotonically shrinking (cache-hot) heap and never sifts into a
-///   cold one, and the destination check compiles to a predictable
-///   almost-never-taken branch instead of a data-dependent coin flip.
-/// * **Live horizons.** Every stage is flushed before each turn, so a
-///   worker computes its horizon from the *post-run* next-event times
-///   of workers that already took their turn this pass. In steady state
-///   that doubles the window width the snapshot protocol would allow
-///   (the second worker sees the first already advanced by one
-///   lookahead), halving flush, decide, and working-set-switch costs.
-///   The reflected `next + 2·la` cap still bounds bounce chains: an
-///   event of mine processed elsewhere can return no earlier than two
-///   lookaheads after I emitted it, and anything a later-turn worker
-///   emits is ≥ `min(next_j + la, next_me + 2·la)` ≥ my horizon.
-fn run_cooperative<M: 'static>(
-    policy: WindowPolicy,
-    lookahead: SimDuration,
-    stop_at: Option<u64>,
-    owners: &[u32],
-    workers: &mut [Worker<M>],
-    profile: bool,
-) -> (ExecStats, Option<Vec<WorkerProfile>>) {
-    let threads = workers.len();
-    let la = lookahead.as_nanos().max(1);
-    // Phase recorders, one per (multiplexed) worker. Under cooperative
-    // scheduling the gap between a worker's turns is the other workers'
-    // compute, so it is attributed as coordination: barrier-wait when
-    // the worker then runs, horizon-stall when its turn is null with
-    // work pending — the same classification the threaded backend uses.
-    let mut recs: Option<Vec<PhaseRecorder>> = profile.then(|| {
-        (0..threads)
-            .map(|i| PhaseRecorder::start(i as u32))
-            .collect()
-    });
-    let mut stats = ExecStats::default();
-    let mut emitted: Vec<Envelope<M>> = Vec::new();
-    let mut halt_flag = false;
-    let mut stage: Vec<Vec<Envelope<M>>> = (0..threads).map(|_| Vec::new()).collect();
-    #[cfg(feature = "causality-check")]
-    let mut guards: Vec<crate::causality::CausalityGuard> = (0..threads)
-        .map(crate::causality::CausalityGuard::new)
-        .collect();
-    // Live-progress instruments, updated once per window/turn boundary
-    // (never inside the event loop) from pre-fetched handles.
-    let live_obs = pioeval_obs::global();
-    let live_events = live_obs.counter(pioeval_obs::names::DES_LIVE_EVENTS);
-    let live_windows = live_obs.counter(pioeval_obs::names::DES_LIVE_WINDOWS);
-    let live_queue = live_obs.gauge(pioeval_obs::names::DES_LIVE_QUEUE);
-    let live_horizon = live_obs.gauge(pioeval_obs::names::DES_LIVE_HORIZON_NS);
-    loop {
-        // Flush every staging vector so the decide step (and the first
-        // turn's horizon) sees the complete pending set.
-        for (worker, batch) in workers.iter_mut().zip(stage.iter_mut()) {
-            worker.store.append(batch);
-        }
-        // Window decision: the minimum clock for termination plus the
-        // total pending population (the boundary queue-occupancy
-        // sample; stages are empty here, so store lengths are exact).
-        let mut t = u64::MAX;
-        let mut pending = 0usize;
-        for worker in workers.iter() {
-            t = t.min(worker.store.next_nanos());
-            pending += worker.store.len();
-        }
-        stats.max_pending = stats.max_pending.max(pending);
-        if t == u64::MAX || halt_flag || stop_at.is_some_and(|limit| t > limit) {
-            break;
-        }
-        stats.windows += 1;
-        live_windows.inc();
-        live_queue.record(pending as u64);
-        for i in 0..threads {
-            if i > 0 {
-                // Pick up what earlier turns staged, keeping every
-                // store complete before any horizon is computed.
-                for (worker, batch) in workers.iter_mut().zip(stage.iter_mut()) {
-                    worker.store.append(batch);
-                }
-            }
-            // Live clocks: already-run workers have advanced past their
-            // own horizon, widening ours beyond the snapshot bound.
-            let my_next = workers[i].store.next_nanos();
-            let mut others = u64::MAX;
-            let mut near_peer = NO_LIMITER;
-            for (j, worker) in workers.iter().enumerate() {
-                if j != i {
-                    let nj = worker.store.next_nanos();
-                    if nj < others {
-                        others = nj;
-                        near_peer = j as u32;
-                    }
-                }
-            }
-            let (h, wide) = horizon(policy, threads, my_next, others, t, la, stop_at);
-            if wide {
-                stats.wide += 1;
-            }
-            live_horizon.record(h);
-            let limiter = if recs.is_some() {
-                window_limiter(policy, my_next, others, near_peer, la, h)
-            } else {
-                NO_LIMITER
-            };
-            if my_next >= h {
-                // A pure synchronization round for this worker: the
-                // conservative engine's null message.
-                workers[i].null_windows += 1;
-                if let Some(rs) = recs.as_mut() {
-                    let r = &mut rs[i];
-                    r.mark(if my_next < u64::MAX {
-                        ProfPhase::HorizonStall
-                    } else {
-                        ProfPhase::Barrier
-                    });
-                    r.end_window(0, limiter);
-                }
-                continue;
-            }
-            if let Some(rs) = recs.as_mut() {
-                rs[i].mark(ProfPhase::Barrier);
-            }
-            let started = Instant::now();
-            let processed_before = workers[i].processed;
-            let me = &mut workers[i];
-            me.store.begin_window(h);
-            if let Some(rs) = recs.as_mut() {
-                rs[i].mark(ProfPhase::MailboxDrain);
-            }
-            #[cfg(feature = "causality-check")]
-            guards[i].begin_window(h);
-            while !halt_flag {
-                let Some(ev) = me.store.pop_window() else {
-                    break;
-                };
-                let dst = ev.dst();
-                let now = ev.time();
-                #[cfg(feature = "causality-check")]
-                guards[i].check_execute(now.as_nanos());
-                me.end_max = me.end_max.max(now.as_nanos());
-                let slot = me.slots[dst.index()];
-                let (_, entity) = &mut me.entities[slot];
-                let mut ctx = Ctx {
-                    now,
-                    me: dst,
-                    lookahead,
-                    seq: &mut me.seqs[slot],
-                    emitted: &mut emitted,
-                    halt: &mut halt_flag,
-                };
-                entity.on_event(ev, &mut ctx);
-                me.processed += 1;
-                for out in emitted.drain(..) {
-                    let w = owners[out.dst().index()] as usize;
-                    // Non-short-circuiting `&`: both sides are pure, and
-                    // the combined test is almost never true, so the
-                    // branch predicts — unlike `w == i` alone, which is
-                    // a coin flip under round-robin partitioning.
-                    if (w == i) & (out.time().as_nanos() < h) {
-                        // Own-chain event inside a widened window: must
-                        // be processed before this window ends.
-                        me.store.push_overlay(out);
-                    } else {
-                        stage[w].push(out);
-                    }
-                }
-            }
-            me.busy += started.elapsed();
-            #[cfg(feature = "causality-check")]
-            guards[i].end_window();
-            let turn_events = me.processed - processed_before;
-            if turn_events > 0 {
-                live_events.add(turn_events);
-            }
-            if let Some(rs) = recs.as_mut() {
-                let r = &mut rs[i];
-                r.mark(ProfPhase::Compute);
-                r.end_window(turn_events, limiter);
-            }
-        }
-    }
-    stats.halted = halt_flag;
-    let profiles = recs.map(|rs| {
-        rs.into_iter()
-            .zip(workers.iter())
-            .map(|(r, w)| r.finish(w.entities.len() as u64, w.processed))
-            .collect()
-    });
-    (stats, profiles)
 }
 
 /// Threaded backend: one OS thread per worker, one spin barrier per
@@ -1285,66 +1044,6 @@ mod tests {
         ]
     }
 
-    /// Manual perf probe (run with `--ignored --nocapture` in release):
-    /// splits cooperative-backend time into pop-loop "busy" vs window
-    /// bookkeeping so regressions can be localized.
-    #[test]
-    #[ignore]
-    fn probe_cooperative_overhead_split() {
-        use crate::phold::{build_phold, PholdConfig};
-        // Interleaved min-of-N: the host is shared and noisy, so
-        // back-to-back single runs can swing ±20%. Minima of alternated
-        // repeats are robust to intermittent background load.
-        const REPS: usize = 3;
-        for population in [2048u32, 8192, 16384] {
-            let phold = PholdConfig {
-                lps: 256,
-                population,
-                horizon: SimTime::from_millis(10),
-                ..PholdConfig::default()
-            };
-            let mut seq_best = Duration::MAX;
-            let mut fixed_best = Duration::MAX;
-            let mut adaptive_best = Duration::MAX;
-            let mut windows = (0u64, 0u64);
-            for _ in 0..REPS {
-                let mut sim = build_phold(&phold);
-                let t0 = Instant::now();
-                sim.run();
-                seq_best = seq_best.min(t0.elapsed());
-
-                for policy in [WindowPolicy::Fixed, WindowPolicy::Adaptive] {
-                    let mut sim = build_phold(&phold);
-                    let owners = Partitioner::RoundRobin.assign(sim.num_entities(), 2);
-                    let lookahead = sim.lookahead();
-                    let stop_at = sim.config().time_limit.map(SimTime::as_nanos);
-                    let mut workers = checkout(&mut sim, &owners, 2);
-                    let t0 = Instant::now();
-                    let (stats, _) =
-                        run_cooperative(policy, lookahead, stop_at, &owners, &mut workers, false);
-                    let wall = t0.elapsed();
-                    if policy == WindowPolicy::Fixed {
-                        fixed_best = fixed_best.min(wall);
-                        windows.0 = stats.windows;
-                    } else {
-                        adaptive_best = adaptive_best.min(wall);
-                        windows.1 = stats.windows;
-                    }
-                    checkin(&mut sim, &mut workers);
-                }
-            }
-            let pct = |d: Duration| (d.as_secs_f64() / seq_best.as_secs_f64() - 1.0) * 100.0;
-            println!(
-                "pop {population}: seq {seq_best:?} | fixed {fixed_best:?} ({:+.1}%, {} w) \
-                 | adaptive {adaptive_best:?} ({:+.1}%, {} w)",
-                pct(fixed_best),
-                windows.0,
-                pct(adaptive_best),
-                windows.1,
-            );
-        }
-    }
-
     #[test]
     fn parallel_matches_sequential_exactly() {
         let nodes = 13;
@@ -1365,9 +1064,8 @@ mod tests {
         }
     }
 
-    /// Every {window policy × partitioner × backend × thread count}
-    /// combination reproduces the sequential fingerprints and event
-    /// count exactly — the ISSUE's acceptance matrix.
+    /// Every {window policy × partitioner × thread count} combination
+    /// reproduces the sequential fingerprints and event count exactly.
     #[test]
     fn config_matrix_matches_sequential() {
         let nodes = 13;
@@ -1377,24 +1075,22 @@ mod tests {
 
         for window in [WindowPolicy::Fixed, WindowPolicy::Adaptive] {
             for partitioner in all_partitioners(nodes) {
-                for backend in [Backend::Threads, Backend::Cooperative] {
-                    for threads in [1, 2, 3, 4, 8] {
-                        let cfg = ParallelConfig {
-                            threads,
-                            window,
-                            partitioner: partitioner.clone(),
-                            backend,
-                        };
-                        let mut par_sim = build_ring(nodes, 8, 50);
-                        let par_res = run_parallel(&mut par_sim, &cfg);
-                        assert_eq!(
-                            fingerprints(&par_sim, nodes),
-                            seq_fp,
-                            "fingerprint mismatch: {cfg:?}"
-                        );
-                        assert_eq!(par_res.events, seq_res.events, "event count: {cfg:?}");
-                        assert_eq!(par_res.end_time, seq_res.end_time, "end time: {cfg:?}");
-                    }
+                for threads in [1, 2, 3, 4, 8] {
+                    let cfg = ParallelConfig {
+                        threads,
+                        window,
+                        partitioner: partitioner.clone(),
+                        ..ParallelConfig::default()
+                    };
+                    let mut par_sim = build_ring(nodes, 8, 50);
+                    let par_res = run_parallel(&mut par_sim, &cfg);
+                    assert_eq!(
+                        fingerprints(&par_sim, nodes),
+                        seq_fp,
+                        "fingerprint mismatch: {cfg:?}"
+                    );
+                    assert_eq!(par_res.events, seq_res.events, "event count: {cfg:?}");
+                    assert_eq!(par_res.end_time, seq_res.end_time, "end time: {cfg:?}");
                 }
             }
         }
@@ -1464,19 +1160,17 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let seq_fp = fp(&seq);
-        for backend in [Backend::Threads, Backend::Cooperative] {
-            for threads in [2, 3] {
-                let cfg = ParallelConfig {
-                    threads,
-                    window: WindowPolicy::Adaptive,
-                    partitioner: Partitioner::RoundRobin,
-                    backend,
-                };
-                let mut par = build();
-                let par_res = run_parallel(&mut par, &cfg);
-                assert_eq!(fp(&par), seq_fp, "bounce fingerprints: {cfg:?}");
-                assert_eq!(par_res.events, seq_res.events, "bounce events: {cfg:?}");
-            }
+        for threads in [2, 3] {
+            let cfg = ParallelConfig {
+                threads,
+                window: WindowPolicy::Adaptive,
+                partitioner: Partitioner::RoundRobin,
+                ..ParallelConfig::default()
+            };
+            let mut par = build();
+            let par_res = run_parallel(&mut par, &cfg);
+            assert_eq!(fp(&par), seq_fp, "bounce fingerprints: {cfg:?}");
+            assert_eq!(par_res.events, seq_res.events, "bounce events: {cfg:?}");
         }
     }
 
@@ -1509,21 +1203,12 @@ mod tests {
         let mut seq = build();
         let seq_res = seq.run();
         assert_eq!(seq_res.max_queue, 4);
-        for backend in [Backend::Threads, Backend::Cooperative] {
-            let mut par = build();
-            let par_res = run_parallel(
-                &mut par,
-                &ParallelConfig {
-                    threads: 2,
-                    backend,
-                    ..ParallelConfig::default()
-                },
-            );
-            assert_eq!(
-                par_res.max_queue, seq_res.max_queue,
-                "boundary sample vs sequential HWM ({backend:?})"
-            );
-        }
+        let mut par = build();
+        let par_res = run_parallel(&mut par, &ParallelConfig::with_threads(2));
+        assert_eq!(
+            par_res.max_queue, seq_res.max_queue,
+            "boundary sample vs sequential HWM"
+        );
     }
 
     #[test]
@@ -1552,38 +1237,31 @@ mod tests {
 
     /// Profiling must not perturb results, and the recorded timelines
     /// must conserve (phase sums tile each worker's span exactly), cover
-    /// every worker, and agree with the shared window count — on both
-    /// backends.
+    /// every worker, and agree with the shared window count.
     #[test]
     fn profiled_run_matches_and_conserves() {
         let nodes = 13;
         let mut seq_sim = build_ring(nodes, 8, 50);
         let seq_res = seq_sim.run();
         let seq_fp = fingerprints(&seq_sim, nodes);
-        for backend in [Backend::Threads, Backend::Cooperative] {
-            let cfg = ParallelConfig {
-                threads: 3,
-                backend,
-                ..ParallelConfig::default()
-            };
-            let mut par_sim = build_ring(nodes, 8, 50);
-            let (res, profile) = run_parallel_profiled(&mut par_sim, &cfg);
-            assert_eq!(fingerprints(&par_sim, nodes), seq_fp, "{backend:?}");
-            assert_eq!(res.events, seq_res.events);
-            let profile = profile.expect("parallel run must yield a profile");
-            assert_eq!(profile.threads, 3);
-            assert_eq!(profile.workers.len(), 3);
-            assert!(profile.conserves(), "{backend:?}: phase sums != spans");
-            assert!(profile.windows > 0);
-            assert!(profile.wall_ns > 0);
-            let events: u64 = profile.workers.iter().map(|w| w.events).sum();
-            assert_eq!(events, res.events, "{backend:?}: event attribution");
-            let entities: u64 = profile.workers.iter().map(|w| w.entities).sum();
-            assert_eq!(entities, nodes as u64);
-            for w in &profile.workers {
-                assert_eq!(w.windows, profile.windows, "every worker sees every window");
-                assert!(w.samples.len() as u64 + w.dropped_samples == w.windows);
-            }
+        let mut par_sim = build_ring(nodes, 8, 50);
+        let (res, profile) = run_parallel_profiled(&mut par_sim, &ParallelConfig::with_threads(3));
+        assert_eq!(fingerprints(&par_sim, nodes), seq_fp);
+        assert_eq!(res.events, seq_res.events);
+        let profile = profile.expect("parallel run must yield a profile");
+        assert_eq!(profile.threads, 3);
+        assert_eq!(profile.backend, "threads");
+        assert_eq!(profile.workers.len(), 3);
+        assert!(profile.conserves(), "phase sums != spans");
+        assert!(profile.windows > 0);
+        assert!(profile.wall_ns > 0);
+        let events: u64 = profile.workers.iter().map(|w| w.events).sum();
+        assert_eq!(events, res.events, "event attribution");
+        let entities: u64 = profile.workers.iter().map(|w| w.entities).sum();
+        assert_eq!(entities, nodes as u64);
+        for w in &profile.workers {
+            assert_eq!(w.windows, profile.windows, "every worker sees every window");
+            assert!(w.samples.len() as u64 + w.dropped_samples == w.windows);
         }
     }
 
@@ -1605,7 +1283,6 @@ mod tests {
         let cfg = ParallelConfig {
             threads: 2,
             partitioner: Partitioner::Greedy(vec![100, 100, 100, 100, 0, 0, 0, 0]),
-            backend: Backend::Cooperative,
             ..ParallelConfig::default()
         };
         let mut sim = build_ring(8, 8, 60);
@@ -1655,20 +1332,11 @@ mod tests {
         };
         let mut s = build(cfg);
         let seq = s.run();
-        for backend in [Backend::Threads, Backend::Cooperative] {
-            let mut p = build(cfg);
-            let par = run_parallel(
-                &mut p,
-                &ParallelConfig {
-                    threads: 2,
-                    backend,
-                    ..ParallelConfig::default()
-                },
-            );
-            assert_eq!(seq.events, par.events);
-            assert_eq!(fingerprints(&s, 4), fingerprints(&p, 4));
-            assert!(par.end_time <= SimTime::from_micros(20));
-        }
+        let mut p = build(cfg);
+        let par = run_parallel(&mut p, &ParallelConfig::with_threads(2));
+        assert_eq!(seq.events, par.events);
+        assert_eq!(fingerprints(&s, 4), fingerprints(&p, 4));
+        assert!(par.end_time <= SimTime::from_micros(20));
     }
 
     #[test]
@@ -1682,27 +1350,18 @@ mod tests {
 
     #[test]
     fn empty_simulation_terminates() {
-        for backend in [Backend::Threads, Backend::Cooperative] {
-            let mut sim: Simulation<u64> = Simulation::default();
-            sim.add_entity(
-                "lonely",
-                Box::new(RingNode {
-                    next: EntityId(0),
-                    fingerprint: 0,
-                    forwards_left: 0,
-                }),
-            );
-            let res = run_parallel(
-                &mut sim,
-                &ParallelConfig {
-                    threads: 2,
-                    backend,
-                    ..ParallelConfig::default()
-                },
-            );
-            assert_eq!(res.events, 0);
-            assert!(!res.halted);
-        }
+        let mut sim: Simulation<u64> = Simulation::default();
+        sim.add_entity(
+            "lonely",
+            Box::new(RingNode {
+                next: EntityId(0),
+                fingerprint: 0,
+                forwards_left: 0,
+            }),
+        );
+        let res = run_parallel(&mut sim, &ParallelConfig::with_threads(2));
+        assert_eq!(res.events, 0);
+        assert!(!res.halted);
     }
 
     #[test]
@@ -1756,20 +1415,17 @@ mod tests {
         let seq_res = seq.run();
         let seq_fp = fingerprints(&seq, 4);
         for window in [WindowPolicy::Fixed, WindowPolicy::Adaptive] {
-            for backend in [Backend::Threads, Backend::Cooperative] {
-                let mut par = build();
-                let par_res = run_parallel(
-                    &mut par,
-                    &ParallelConfig {
-                        threads: 2,
-                        window,
-                        backend,
-                        ..ParallelConfig::default()
-                    },
-                );
-                assert_eq!(fingerprints(&par, 4), seq_fp, "{window:?}/{backend:?}");
-                assert_eq!(par_res.events, seq_res.events);
-            }
+            let mut par = build();
+            let par_res = run_parallel(
+                &mut par,
+                &ParallelConfig {
+                    threads: 2,
+                    window,
+                    ..ParallelConfig::default()
+                },
+            );
+            assert_eq!(fingerprints(&par, 4), seq_fp, "{window:?}");
+            assert_eq!(par_res.events, seq_res.events);
         }
     }
 }

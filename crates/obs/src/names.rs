@@ -28,9 +28,6 @@ pub const DES_PAR_THREAD_EVENTS: &str = "des.par.thread_events";
 /// `T + lookahead` window — how often [`DES_PAR_WINDOWS`] crossings were
 /// saved by widening. Zero under the `Fixed` policy.
 pub const DES_PAR_WIDE_WINDOWS: &str = "des.par.wide_windows";
-/// Counter: parallel runs that resolved to the cooperative
-/// (single-thread, barrier-free) backend.
-pub const DES_PAR_RUNS_COOP: &str = "des.par.runs_coop";
 
 /// Counter: events committed so far *inside* the currently running DES
 /// executor — the live sampler's progress signal. Unlike [`DES_EVENTS`]

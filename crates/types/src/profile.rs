@@ -1,6 +1,6 @@
 //! Per-worker phase timelines for the parallel DES executor (wall clock).
 //!
-//! The scaling observatory instruments both parallel backends with a
+//! The scaling observatory instruments the parallel executor with a
 //! four-phase accounting of each worker's wall-clock time: event
 //! *compute*, *mailbox-drain* (cross-partition message intake plus the
 //! shared-state snapshot), *barrier* coordination, and *horizon-stall*
@@ -26,7 +26,7 @@
 //!
 //! holds by telescoping — there is no second clock read that could
 //! disagree. The property tests in `tests/des_profile_props.rs` pin
-//! this invariant across random PHOLD topologies and both backends.
+//! this invariant across random PHOLD topologies and window policies.
 //!
 //! This module is shared *vocabulary*: it has no dependency on the DES
 //! engine, so `pioeval-des` (the producer) and `pioeval-monitor` (the
@@ -146,7 +146,8 @@ impl WorkerProfile {
 pub struct ExecProfile {
     /// Worker thread count.
     pub threads: u32,
-    /// Backend that ran (`threads` or `cooperative`).
+    /// Backend that ran: always `threads` now. Documents written before
+    /// the cooperative backend was removed may say `cooperative`.
     pub backend: String,
     /// Window policy (`fixed` or `adaptive`).
     pub window_policy: String,

@@ -153,7 +153,8 @@ WATCH OPTIONS (pioeval watch <FILE|host:port>):
 BENCH OPTIONS:
   --threads <N>        worker count for the parallel rows      [default: 2]
   --repeat <K>         runs per bench, report the median       [default: 1]
-  --backend <B>        parallel backend: auto | threads | coop [default: auto]
+                       (the PHOLD rows run interleaved, one of each per
+                       round; overheads are medians of per-round ratios)
   --baseline <FILE>    regression gate: compare events/sec against FILE,
                        normalized by each side's phold_seq row so the gate
                        tracks engine overhead rather than host speed
@@ -1226,28 +1227,61 @@ fn run_campaign(
 /// One bench row: name, event count, median wall-clock ms, events/sec.
 type BenchRow = (String, u64, f64, f64);
 
-/// Run `body` `repeat` times and return (events, median wall). Event
-/// counts must agree across repeats — the engine is deterministic, so a
-/// mismatch is a bug worth failing loudly on.
-fn bench_median(
+/// One timed bench body: runs the workload once, returns its event count.
+type BenchBody<'a> = Box<dyn FnMut() -> Result<u64, String> + 'a>;
+
+/// Run `repeat` rounds of every body, one of each per round, and return
+/// each body's event count and per-round walls. Bodies timed in the same
+/// round see the same host conditions, so the ratio of two neighbouring
+/// bodies' walls within a round is a paired sample. Odd rounds run the
+/// bodies in reverse order, so no body always runs right after the same
+/// neighbour. Event counts must agree across rounds — the engine is
+/// deterministic, so a mismatch is a bug worth failing loudly on.
+fn bench_interleaved(
     repeat: usize,
-    mut body: impl FnMut() -> Result<u64, String>,
-) -> Result<(u64, std::time::Duration), String> {
-    let mut walls = Vec::with_capacity(repeat);
-    let mut events = None;
-    for _ in 0..repeat {
-        let t0 = std::time::Instant::now();
-        let n = body()?;
-        walls.push(t0.elapsed());
-        if let Some(prev) = events {
-            if prev != n {
-                return Err(format!("nondeterministic bench: {prev} vs {n} events"));
+    bodies: &mut [BenchBody<'_>],
+) -> Result<Vec<(u64, Vec<std::time::Duration>)>, String> {
+    let mut series: Vec<(Option<u64>, Vec<std::time::Duration>)> =
+        bodies.iter().map(|_| (None, Vec::new())).collect();
+    for round in 0..repeat {
+        let mut order: Vec<usize> = (0..bodies.len()).collect();
+        if round % 2 == 1 {
+            order.reverse();
+        }
+        for i in order {
+            let (events, walls) = &mut series[i];
+            let t0 = std::time::Instant::now();
+            let n = bodies[i]()?;
+            walls.push(t0.elapsed());
+            match *events {
+                Some(prev) if prev != n => {
+                    return Err(format!("nondeterministic bench: {prev} vs {n} events"))
+                }
+                _ => *events = Some(n),
             }
         }
-        events = Some(n);
     }
-    walls.sort();
-    Ok((events.unwrap_or(0), walls[walls.len() / 2]))
+    Ok(series
+        .into_iter()
+        .map(|(events, walls)| (events.unwrap_or(0), walls))
+        .collect())
+}
+
+/// Median (upper middle for an even count) of a non-empty sample.
+fn median<T: PartialOrd + Copy>(xs: &[T]) -> T {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted[sorted.len() / 2]
+}
+
+/// Run `body` `repeat` times and return (events, median wall).
+fn bench_median<'a>(
+    repeat: usize,
+    body: impl FnMut() -> Result<u64, String> + 'a,
+) -> Result<(u64, std::time::Duration), String> {
+    let (events, walls) =
+        bench_interleaved(repeat, &mut [Box::new(body) as BenchBody<'a>])?.remove(0);
+    Ok((events, median(&walls)))
 }
 
 /// Numeric JSON value as f64 (the shimmed parser splits number kinds).
@@ -1356,7 +1390,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             "out",
             "threads",
             "repeat",
-            "backend",
             "baseline",
             "tolerance",
             "timestamp",
@@ -1396,17 +1429,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             .filter(|t| *t >= 0.0)
             .ok_or(format!("bad --tolerance: {v}"))?,
     };
-    use pioeval::des::{build_phold, run_parallel, Backend, ParallelConfig, PholdConfig};
-    let backend = match flags.get("backend").map(String::as_str) {
-        None | Some("auto") => Backend::Auto,
-        Some("threads") => Backend::Threads,
-        Some("coop") | Some("cooperative") => Backend::Cooperative,
-        Some(other) => {
-            return Err(format!(
-                "bad --backend: {other} (expected auto|threads|coop)"
-            ))
-        }
-    };
+    use pioeval::des::{build_phold, run_parallel, ParallelConfig, PholdConfig};
 
     // Fixed configuration so numbers are comparable across commits. The
     // population matches the des crate's default PHOLD regime (8192):
@@ -1428,44 +1451,74 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         rows.push((name, events, wall_ms, eps));
     };
 
-    let (events, wall) = bench_median(repeat, || Ok(build_phold(&phold).run().events))?;
-    record("phold_seq".into(), events, wall);
-
-    let par_cfg = ParallelConfig {
-        threads,
-        backend,
-        ..ParallelConfig::default()
+    let par_cfg = ParallelConfig::with_threads(threads);
+    // Profile-guided variant: per-entity counts from an (untimed)
+    // sequential warmup feed the greedy bin-packing partitioner.
+    let (_, counts) = build_phold(&phold).run_counted();
+    let greedy_cfg = ParallelConfig {
+        partitioner: pioeval::des::Partitioner::greedy_from_counts(&counts),
+        ..par_cfg.clone()
     };
-    let (events, wall) = bench_median(repeat, || {
-        let mut sim = build_phold(&phold);
-        Ok(run_parallel(&mut sim, &par_cfg).events)
-    })?;
-    record(format!("phold_par_t{threads}"), events, wall);
-
-    // Tracing-overhead probe: the same parallel PHOLD run with the
-    // request-trace recorder enabled on every LP (one mark per event,
-    // non-zero tid). Its gap to phold_par_t{N} is the tracer's hot-path
-    // cost; the explicit <=5% check below and the baseline gate both
-    // keep it pinned.
-    let (events, wall) = bench_median(repeat, || {
-        let mut sim = pioeval::des::build_phold_traced(&phold);
-        Ok(run_parallel(&mut sim, &par_cfg).events)
-    })?;
-    record(format!("phold_par_t{threads}_reqtrace"), events, wall);
-
-    // Profiler-overhead probe: the same parallel PHOLD run with the
-    // per-worker phase recorder on. Its gap to phold_par_t{N} is the
-    // profiler's hot-path cost (two clock reads per window per worker);
-    // the explicit <=5% check below and the baseline gate both keep it
-    // pinned. The last repeat's merged profile is kept for --profile-out.
+    let live_path =
+        std::env::temp_dir().join(format!("pioeval_bench_live_{}.jsonl", std::process::id()));
     let mut bench_profile: Option<pioeval::types::ExecProfile> = None;
-    let (events, wall) = bench_median(repeat, || {
-        let mut sim = build_phold(&phold);
-        let (res, prof) = pioeval::des::run_parallel_profiled(&mut sim, &par_cfg);
-        bench_profile = prof;
-        Ok(res.events)
-    })?;
-    record(format!("phold_par_t{threads}_profiled"), events, wall);
+    // The PHOLD rows run interleaved, one of each per round, so each
+    // overhead row below is compared with the plain parallel run of its
+    // own round rather than with a run seconds apart. The plain row sits
+    // between its two instrumented twins, so both are its neighbours.
+    const REQTRACE: usize = 1;
+    const PLAIN: usize = 2;
+    const PROFILED: usize = 3;
+    let phold_names: Vec<String> = std::iter::once("phold_seq".to_string())
+        .chain(
+            ["_reqtrace", "", "_profiled", "_greedy", "_live"]
+                .map(|suffix| format!("phold_par_t{threads}{suffix}")),
+        )
+        .collect();
+    let phold_series = bench_interleaved(
+        repeat,
+        &mut [
+            Box::new(|| Ok(build_phold(&phold).run().events)),
+            // Tracing-overhead probe: the request-trace recorder enabled
+            // on every LP (one mark per event, non-zero tid).
+            Box::new(|| {
+                let mut sim = pioeval::des::build_phold_traced(&phold);
+                Ok(run_parallel(&mut sim, &par_cfg).events)
+            }),
+            Box::new(|| Ok(run_parallel(&mut build_phold(&phold), &par_cfg).events)),
+            // Profiler-overhead probe: the per-worker phase recorder on
+            // (two clock reads per window per worker). The last round's
+            // merged profile is kept for --profile-out.
+            Box::new(|| {
+                let mut sim = build_phold(&phold);
+                let (res, prof) = pioeval::des::run_parallel_profiled(&mut sim, &par_cfg);
+                bench_profile = prof;
+                Ok(res.events)
+            }),
+            Box::new(|| Ok(run_parallel(&mut build_phold(&phold), &greedy_cfg).events)),
+            // Sampler-on variant: the live exporter streams frames to a
+            // scratch file at the default interval during the run.
+            Box::new(|| {
+                let exporter = pioeval::obs::LiveExporter::start(
+                    pioeval::obs::global(),
+                    pioeval::obs::LiveConfig {
+                        interval: None,
+                        file: Some(live_path.clone()),
+                        addr: None,
+                        run_id: "bench-live".to_string(),
+                    },
+                )
+                .map_err(|e| format!("cannot start live exporter: {e}"))?;
+                let events = run_parallel(&mut build_phold(&phold), &par_cfg).events;
+                exporter.finish();
+                Ok(events)
+            }),
+        ],
+    )?;
+    let _ = std::fs::remove_file(&live_path);
+    for (name, (events, walls)) in phold_names.iter().zip(&phold_series) {
+        record(name.clone(), *events, median(walls));
+    }
     if let Some(path) = flags.get("profile-out") {
         let prof = bench_profile
             .as_ref()
@@ -1474,44 +1527,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write execution profile to {path}: {e}"))?;
         println!("wrote execution profile to {path}");
     }
-
-    // Profile-guided variant: per-entity counts from an (untimed)
-    // sequential warmup feed the greedy bin-packing partitioner.
-    let (_, counts) = build_phold(&phold).run_counted();
-    let greedy_cfg = ParallelConfig {
-        partitioner: pioeval::des::Partitioner::greedy_from_counts(&counts),
-        ..par_cfg.clone()
-    };
-    let (events, wall) = bench_median(repeat, || {
-        let mut sim = build_phold(&phold);
-        Ok(run_parallel(&mut sim, &greedy_cfg).events)
-    })?;
-    record(format!("phold_par_t{threads}_greedy"), events, wall);
-
-    // Sampler-on variant of the parallel row: the live exporter streams
-    // frames to a scratch file at the default interval while the same
-    // PHOLD run executes. Its gap to phold_par_t{N} is the observation
-    // overhead, and the gate keeps it bounded once a baseline records it.
-    let live_path =
-        std::env::temp_dir().join(format!("pioeval_bench_live_{}.jsonl", std::process::id()));
-    let (events, wall) = bench_median(repeat, || {
-        let exporter = pioeval::obs::LiveExporter::start(
-            pioeval::obs::global(),
-            pioeval::obs::LiveConfig {
-                interval: None,
-                file: Some(live_path.clone()),
-                addr: None,
-                run_id: "bench-live".to_string(),
-            },
-        )
-        .map_err(|e| format!("cannot start live exporter: {e}"))?;
-        let mut sim = build_phold(&phold);
-        let events = run_parallel(&mut sim, &par_cfg).events;
-        exporter.finish();
-        Ok(events)
-    })?;
-    let _ = std::fs::remove_file(&live_path);
-    record(format!("phold_par_t{threads}_live"), events, wall);
 
     // Lint wall-time on a generated large DSL program (~10k statements):
     // CFG lowering plus the abstract-interpretation passes end to end,
@@ -1639,46 +1654,40 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let (events, wall) = bb_bench(&bb_target(pioeval::resil::AckMode::Geographic))?;
     record("ior_bb_geo".into(), events, wall);
 
-    // Request tracing must stay cheap enough to leave on: compare the
-    // traced parallel PHOLD row to its untraced twin in THIS run (same
-    // host, same moment), independent of any baseline file.
-    let eps_of_row = |name: String| rows.iter().find(|r| r.0 == name).map(|r| r.3);
-    let reqtrace_budget_pct = 5.0;
-    if let (Some(plain), Some(traced)) = (
-        eps_of_row(format!("phold_par_t{threads}")),
-        eps_of_row(format!("phold_par_t{threads}_reqtrace")),
-    ) {
-        let overhead_pct = (1.0 - traced / plain.max(1e-9)) * 100.0;
+    // Request tracing and the phase profiler must stay cheap enough to
+    // leave on: each round compares the instrumented row with the plain
+    // parallel row of the same round (same host, same moment), and the
+    // check takes the median of those paired overheads, independent of
+    // any baseline file.
+    let plain_walls = &phold_series[PLAIN].1;
+    let budget_pct = 5.0;
+    println!();
+    for (label, what, row) in [
+        ("reqtrace", "request-trace", REQTRACE),
+        ("profiler", "phase-profiler", PROFILED),
+    ] {
+        let paired: Vec<f64> = plain_walls
+            .iter()
+            .zip(&phold_series[row].1)
+            .map(|(plain, instrumented)| {
+                (1.0 - plain.as_secs_f64() / instrumented.as_secs_f64().max(1e-9)) * 100.0
+            })
+            .collect();
+        let overhead_pct = median(&paired);
+        let rounds = paired
+            .iter()
+            .map(|p| format!("{p:+.1}%"))
+            .collect::<Vec<_>>()
+            .join(" ");
         println!(
-            "\nreqtrace overhead: {overhead_pct:+.1}% events/sec vs \
-             phold_par_t{threads} (budget {reqtrace_budget_pct:.0}%)"
+            "{label} overhead: {overhead_pct:+.1}% events/sec vs phold_par_t{threads} \
+             (median of paired rounds: {rounds}; budget {budget_pct:.0}%)"
         );
-        if overhead_pct > reqtrace_budget_pct {
+        if overhead_pct > budget_pct {
             return Err(format!(
-                "request-trace overhead {overhead_pct:.1}% exceeds the \
-                 {reqtrace_budget_pct:.0}% budget (phold_par_t{threads}_reqtrace \
-                 vs phold_par_t{threads})"
-            ));
-        }
-    }
-
-    // Same discipline for the phase profiler: profiled-vs-plain gap in
-    // THIS run, so the 5% promise on --profile-out holds on every host.
-    let profile_budget_pct = 5.0;
-    if let (Some(plain), Some(profiled)) = (
-        eps_of_row(format!("phold_par_t{threads}")),
-        eps_of_row(format!("phold_par_t{threads}_profiled")),
-    ) {
-        let overhead_pct = (1.0 - profiled / plain.max(1e-9)) * 100.0;
-        println!(
-            "profiler overhead: {overhead_pct:+.1}% events/sec vs \
-             phold_par_t{threads} (budget {profile_budget_pct:.0}%)"
-        );
-        if overhead_pct > profile_budget_pct {
-            return Err(format!(
-                "phase-profiler overhead {overhead_pct:.1}% exceeds the \
-                 {profile_budget_pct:.0}% budget (phold_par_t{threads}_profiled \
-                 vs phold_par_t{threads})"
+                "{what} overhead {overhead_pct:.1}% exceeds the {budget_pct:.0}% budget \
+                 ({} vs phold_par_t{threads})",
+                phold_names[row]
             ));
         }
     }
@@ -1731,12 +1740,8 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| "unknown".to_string());
     // Record the engine configuration alongside the numbers, so
     // `pioeval compare` can group trends by configuration instead of
-    // silently mixing, say, t2/coop rows with t8/threads rows.
-    let backend_name = match backend {
-        Backend::Auto => "auto",
-        Backend::Threads => "threads",
-        Backend::Cooperative => "coop",
-    };
+    // silently mixing, say, t2 rows with t8 rows, or rows of older runs
+    // that name another backend.
     let window_name = match par_cfg.window {
         pioeval::des::WindowPolicy::Fixed => "fixed",
         pioeval::des::WindowPolicy::Adaptive => "adaptive",
@@ -1744,7 +1749,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let mut line = format!(
         "{{\"schema\": \"pioeval-bench-history/1\", \"rev\": \"{rev}\", \
          \"timestamp\": \"{timestamp}\", \"threads\": {threads}, \
-         \"backend\": \"{backend_name}\", \"window\": \"{window_name}\", \
+         \"backend\": \"threads\", \"window\": \"{window_name}\", \
          \"benches\": ["
     );
     for (i, (name, _, _, eps)) in rows.iter().enumerate() {

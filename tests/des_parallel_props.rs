@@ -3,14 +3,14 @@
 //!
 //! Random ring / star / random-graph (PHOLD-like) topologies are run
 //! once sequentially and then under every drawn parallel configuration
-//! — {window policy} × {partitioner} × {1–8 threads} × both backends —
+//! — {window policy} × {partitioner} × {1–8 threads} —
 //! asserting the per-entity event-order fingerprints, total event
 //! count, and end time match the sequential run exactly. This is the
 //! conservative engine's core guarantee: parallelism changes wall-clock
 //! time, never results.
 
 use pioeval::des::{
-    run_parallel, Backend, Ctx, Entity, EntityId, Envelope, ParallelConfig, Partitioner, SimConfig,
+    run_parallel, Ctx, Entity, EntityId, Envelope, ParallelConfig, Partitioner, SimConfig,
     Simulation, WindowPolicy,
 };
 use pioeval::types::{SimDuration, SimTime};
@@ -121,8 +121,8 @@ fn fingerprints(sim: &Simulation<u64>, nodes: u32) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Every {topology × window policy × partitioner × thread count ×
-    /// backend} combination reproduces the sequential run exactly.
+    /// Every {topology × window policy × partitioner × thread count}
+    /// combination reproduces the sequential run exactly.
     #[test]
     fn parallel_equals_sequential_on_random_topologies(
         kind in prop::sample::select(vec![RING, STAR, RANDOM]),
@@ -150,30 +150,25 @@ proptest! {
             }
         };
 
-        for backend in [Backend::Cooperative, Backend::Threads] {
-            let cfg = ParallelConfig {
-                threads,
-                window: policy,
-                partitioner: partitioner.clone(),
-                backend,
-            };
-            let mut par = build(kind, nodes, tokens, forwards, seed);
-            let par_result = run_parallel(&mut par, &cfg);
-            prop_assert_eq!(
-                par_result.events, seq_result.events,
-                "event count diverged ({:?}, kind {}, threads {})",
-                backend, kind, threads
-            );
-            prop_assert_eq!(
-                par_result.end_time, seq_result.end_time,
-                "end time diverged ({:?})", backend
-            );
-            prop_assert_eq!(
-                fingerprints(&par, nodes), seq_fp.clone(),
-                "fingerprints diverged ({:?}, kind {}, threads {}, {:?})",
-                backend, kind, threads, policy
-            );
-        }
+        let cfg = ParallelConfig {
+            threads,
+            window: policy,
+            partitioner,
+            ..ParallelConfig::default()
+        };
+        let mut par = build(kind, nodes, tokens, forwards, seed);
+        let par_result = run_parallel(&mut par, &cfg);
+        prop_assert_eq!(
+            par_result.events, seq_result.events,
+            "event count diverged (kind {}, threads {})",
+            kind, threads
+        );
+        prop_assert_eq!(par_result.end_time, seq_result.end_time, "end time diverged");
+        prop_assert_eq!(
+            fingerprints(&par, nodes), seq_fp,
+            "fingerprints diverged (kind {}, threads {}, {:?})",
+            kind, threads, policy
+        );
     }
 
     /// A mid-run time limit never loses events: pending events survive

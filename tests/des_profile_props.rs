@@ -1,7 +1,7 @@
 //! Property-based conservation tests for the parallel engine's
 //! per-worker phase profiler (proptest, vendored shim).
 //!
-//! Random PHOLD topologies run under both parallel backends with the
+//! Random PHOLD topologies run on the parallel executor with the
 //! phase recorder on; the recorder's telescoping-timestamp discipline
 //! promises that each worker's compute + mailbox + barrier + stall
 //! nanoseconds tile its recorded wall-clock span *exactly* — no gaps,
@@ -11,8 +11,8 @@
 //! an unprofiled twin.
 
 use pioeval::des::{
-    build_phold, run_parallel, run_parallel_profiled, Backend, ParallelConfig, Partitioner,
-    PholdConfig, WindowPolicy,
+    build_phold, run_parallel, run_parallel_profiled, ParallelConfig, Partitioner, PholdConfig,
+    WindowPolicy,
 };
 use pioeval::types::SimTime;
 use proptest::prelude::*;
@@ -32,7 +32,7 @@ proptest! {
 
     /// Phase durations tile each worker's span exactly, windows are
     /// fully accounted, and profiling leaves results untouched — on
-    /// random PHOLD topologies, both backends, every partitioner.
+    /// random PHOLD topologies, both window policies, every partitioner.
     #[test]
     fn phase_durations_tile_worker_spans(
         lps in 4u32..40,
@@ -42,14 +42,13 @@ proptest! {
         seed in 0u64..1 << 32,
         policy in prop::sample::select(vec![WindowPolicy::Fixed, WindowPolicy::Adaptive]),
         part_kind in 0u8..2,
-        backend in prop::sample::select(vec![Backend::Cooperative, Backend::Threads]),
     ) {
         let pc = phold(lps, population, horizon_us, seed);
         let cfg = ParallelConfig {
             threads,
             window: policy,
             partitioner: if part_kind == 0 { Partitioner::RoundRobin } else { Partitioner::Block },
-            backend,
+            ..ParallelConfig::default()
         };
 
         let mut plain = build_phold(&pc);
@@ -76,7 +75,7 @@ proptest! {
             );
             // Window samples never over-claim: their per-phase totals
             // are bounded by the worker totals, and compute/stall match
-            // exactly when nothing was dropped (the threaded backend's
+            // exactly when nothing was dropped (the executor's
             // final termination probe leaves one mailbox/barrier
             // segment after the last committed window, so those two
             // phases may exceed their sample totals by that tail).

@@ -85,7 +85,7 @@ fn erasure_coded_target_executors_agree() {
         &source,
         &ExecMode::Parallel(ParallelConfig {
             threads: 4,
-            backend: Backend::Cooperative,
+            backend: Backend::Threads,
             window: WindowPolicy::default(),
             partitioner: Partitioner::Block,
         }),
