@@ -21,6 +21,7 @@
 //! a `repeat 0` head has no edge into its body, so the body subgraph is
 //! unreachable from the entry node.
 
+use pioeval_obs::trace_event::esc;
 use pioeval_workloads::dsl::{CampaignDecl, DslProgram, DslWorkload, Stmt, StmtKind};
 
 /// What a [`Block`] is.
@@ -406,7 +407,7 @@ impl ProgramCfg {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"entry\":{},\"exit\":{},\"blocks\":[",
-                escape(&unit.name),
+                esc(&unit.name),
                 unit.entry,
                 unit.exit
             ));
@@ -449,7 +450,7 @@ impl ProgramCfg {
                     out.push_str(&format!(
                         "{{\"line\":{},\"text\":\"{}\"}}",
                         s.line,
-                        escape(&stmt_text(s))
+                        esc(&stmt_text(s))
                     ));
                 }
                 out.push_str(&format!("],\"succ\":{:?}}}", b.succ));
@@ -463,7 +464,7 @@ impl ProgramCfg {
             }
             out.push_str(&format!(
                 "{{\"workload\":\"{}\",\"ranks\":{ranks},\"line\":{line}}}",
-                escape(workload)
+                esc(workload)
             ));
         }
         out.push_str("]}");

@@ -22,6 +22,7 @@
 //! corresponding engineering fix could buy, which is exactly the
 //! evidence the optimistic-DES roadmap item needs.
 
+use pioeval_obs::trace_event::TraceWriter;
 use pioeval_types::{ExecProfile, ProfPhase, NO_LIMITER, PROF_PHASES};
 use serde::{Deserialize, Serialize};
 
@@ -347,47 +348,32 @@ pub fn analyze_profile(p: &ExecProfile) -> ProfileAnalysis {
 }
 
 /// Export a profile as a Chrome trace-event JSON document for Perfetto:
-/// one named track per worker (with `process_name`/`thread_name`
-/// metadata so the UI shows labels instead of bare tids), per-window
-/// phase slices on each worker's track (stall slices carry the limiting
-/// worker in `args`), and a window-boundary track from worker 0's
-/// samples.
+/// one named track per worker (so the UI shows labels instead of bare
+/// tids), per-window phase slices on each worker's track (stall slices
+/// carry the limiting worker in `args`), and a window-boundary track
+/// from worker 0's samples.
 pub fn profile_chrome_trace(p: &ExecProfile) -> String {
-    let mut events: Vec<String> = Vec::new();
-    let us = |ns: u64| ns as f64 / 1000.0;
-    events.push(
-        "{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"process_name\", \
-         \"args\": {\"name\": \"des-workers\"}}"
-            .to_string(),
-    );
+    let mut trace = TraceWriter::default();
+    trace.name_process(1, "des-workers");
     for w in &p.workers {
-        events.push(format!(
-            "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {}, \"name\": \"thread_name\", \
-             \"args\": {{\"name\": \"worker {} ({} LPs, {} events)\"}}}}",
-            w.worker, w.worker, w.entities, w.events
-        ));
+        trace.name_thread(
+            1,
+            w.worker,
+            &format!(
+                "worker {} ({} LPs, {} events)",
+                w.worker, w.entities, w.events
+            ),
+        );
         for s in &w.samples {
+            let limiter = [("limiter", u64::from(s.limiter))];
             let mut at = s.start_ns;
-            for phase in pioeval_types::ProfPhase::ALL {
+            for phase in ProfPhase::ALL {
                 let dur = s.phase_ns[phase.index()];
-                if dur == 0 {
-                    at += dur;
-                    continue;
+                if dur > 0 {
+                    let stalled = phase == ProfPhase::HorizonStall && s.limiter != NO_LIMITER;
+                    let args = if stalled { &limiter[..] } else { &[] };
+                    trace.complete(1, w.worker, phase.name(), "des", at, dur, args);
                 }
-                let args = if phase == ProfPhase::HorizonStall && s.limiter != NO_LIMITER {
-                    format!(", \"args\": {{\"limiter\": {}}}", s.limiter)
-                } else {
-                    String::new()
-                };
-                events.push(format!(
-                    "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"name\": \"{}\", \
-                     \"cat\": \"des\", \"ts\": {:.3}, \"dur\": {:.3}{}}}",
-                    w.worker,
-                    phase.name(),
-                    us(at),
-                    us(dur),
-                    args
-                ));
                 at += dur;
             }
         }
@@ -395,31 +381,28 @@ pub fn profile_chrome_trace(p: &ExecProfile) -> String {
     // Window-boundary track from worker 0 (windows are shared).
     if let Some(w0) = p.workers.first() {
         let tid = p.threads;
-        events.push(format!(
-            "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \"name\": \"thread_name\", \
-             \"args\": {{\"name\": \"windows\"}}}}"
-        ));
+        trace.name_thread(1, tid, "windows");
         for (i, s) in w0.samples.iter().enumerate() {
             let dur: u64 = s.phase_ns.iter().sum();
-            events.push(format!(
-                "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"name\": \"w{}\", \
-                 \"cat\": \"des\", \"ts\": {:.3}, \"dur\": {:.3}, \
-                 \"args\": {{\"events\": {}}}}}",
+            trace.complete(
+                1,
                 tid,
-                i,
-                us(s.start_ns),
-                us(dur),
-                s.events
-            ));
+                &format!("w{i}"),
+                "des",
+                s.start_ns,
+                dur,
+                &[("events", s.events)],
+            );
         }
     }
-    format!("{{\"traceEvents\": [{}]}}", events.join(", "))
+    trace.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pioeval_types::{PhaseRecorder, WindowSample, WorkerProfile};
+    use serde_json::Value;
 
     fn worker(id: u32, phase_ns: [u64; PROF_PHASES], samples: Vec<WindowSample>) -> WorkerProfile {
         WorkerProfile {
@@ -538,6 +521,95 @@ mod tests {
             + a.mailbox_share
             + a.total_compute_ns as f64 / (p.workers[0].span_ns as f64).max(1.0);
         assert!((share_sum - 1.0).abs() < 1e-9, "shares tile: {share_sum}");
+    }
+
+    /// One trace event as `ph pid tid name cat ts dur args`: strings
+    /// quoted, `ts`/`dur` rounded to whole nanoseconds, absent fields `-`.
+    fn event_line(e: &Value) -> String {
+        let int = |v: &Value| match v {
+            Value::U64(n) => *n,
+            v => panic!("expected integer, got {v:?}"),
+        };
+        let text = |k: &str| match e.get(k) {
+            None => "-".to_string(),
+            Some(Value::Str(s)) => format!("{s:?}"),
+            Some(v) => panic!("{k}: expected string, got {v:?}"),
+        };
+        let ns = |k: &str| match e.get(k) {
+            None => "-".to_string(),
+            Some(Value::U64(n)) => format!("{}", n * 1000),
+            Some(Value::F64(f)) => format!("{}", (f * 1e3).round() as u64),
+            Some(v) => panic!("{k}: expected number, got {v:?}"),
+        };
+        let args = match e.get("args") {
+            None => "-".to_string(),
+            Some(Value::Map(entries)) => entries
+                .iter()
+                .map(|(k, v)| match v {
+                    Value::Str(s) => format!("{k}={s:?}"),
+                    v => format!("{k}={}", int(v)),
+                })
+                .collect::<Vec<_>>()
+                .join(","),
+            Some(v) => panic!("args: expected object, got {v:?}"),
+        };
+        let Some(Value::Str(ph)) = e.get("ph") else {
+            panic!("event without ph: {e:?}");
+        };
+        format!(
+            "{ph} {} {} {} {} {} {} {}",
+            int(e.get("pid").expect("pid")),
+            int(e.get("tid").expect("tid")),
+            text("name"),
+            text("cat"),
+            ns("ts"),
+            ns("dur"),
+            args
+        )
+    }
+
+    #[test]
+    fn chrome_trace_emits_every_event_exactly() {
+        let late = WindowSample {
+            start_ns: 10_205,
+            phase_ns: [999, 0, 1_000_001, 0],
+            events: 2,
+            limiter: NO_LIMITER,
+        };
+        let p = profile(vec![
+            worker(
+                0,
+                [100, 10, 20, 5],
+                vec![sample([100, 10, 20, 5], 7, 1), late],
+            ),
+            worker(1, [90, 10, 30, 5], vec![sample([90, 10, 30, 5], 3, 0)]),
+        ]);
+        let v = serde_json::parse(&profile_chrome_trace(&p)).expect("trace JSON must parse");
+        let Some(Value::Seq(events)) = v.get("traceEvents") else {
+            panic!("missing traceEvents");
+        };
+        let lines: Vec<String> = events.iter().map(event_line).collect();
+        assert_eq!(
+            lines,
+            [
+                r#"M 1 0 "process_name" - - - name="des-workers""#,
+                r#"M 1 0 "thread_name" - - - name="worker 0 (4 LPs, 100 events)""#,
+                r#"X 1 0 "compute" "des" 0 100 -"#,
+                r#"X 1 0 "mailbox" "des" 100 10 -"#,
+                r#"X 1 0 "barrier" "des" 110 20 -"#,
+                r#"X 1 0 "stall" "des" 130 5 limiter=1"#,
+                r#"X 1 0 "compute" "des" 10205 999 -"#,
+                r#"X 1 0 "barrier" "des" 11204 1000001 -"#,
+                r#"M 1 1 "thread_name" - - - name="worker 1 (4 LPs, 100 events)""#,
+                r#"X 1 1 "compute" "des" 0 90 -"#,
+                r#"X 1 1 "mailbox" "des" 90 10 -"#,
+                r#"X 1 1 "barrier" "des" 100 30 -"#,
+                r#"X 1 1 "stall" "des" 130 5 limiter=0"#,
+                r#"M 1 2 "thread_name" - - - name="windows""#,
+                r#"X 1 2 "w0" "des" 0 135 events=7"#,
+                r#"X 1 2 "w1" "des" 10205 1001000 events=2"#,
+            ]
+        );
     }
 
     #[test]

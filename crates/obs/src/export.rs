@@ -2,31 +2,12 @@
 //!
 //! The JSON is hand-rolled (this crate is dependency-free); both
 //! documents are plain standard JSON, parseable by any library. The
-//! Chrome trace document loads directly in `chrome://tracing` and
-//! [Perfetto](https://ui.perfetto.dev) (open the UI, drag the file in).
+//! Chrome trace goes through [`crate::trace_event`].
 
 use crate::names;
 use crate::registry::{Registry, Snapshot};
+use crate::trace_event::{esc, TraceWriter};
 use std::fmt::Write as _;
-
-/// Escape `s` as the body of a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render an `f64` as a JSON number (finite values only; callers pass
 /// derived ratios which are finite by construction, but be safe).
@@ -52,6 +33,14 @@ pub struct RunSummary {
     pub queue_hwm: u64,
 }
 
+/// Final value of counter `name` (0 when it was never created).
+fn counter(snap: &Snapshot, name: &str) -> u64 {
+    snap.counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |&(_, v)| v)
+}
+
 /// Derive the headline figures from a snapshot.
 pub fn run_summary(snap: &Snapshot) -> RunSummary {
     let span_ms = |name: &str| -> Option<f64> {
@@ -71,12 +60,7 @@ pub fn run_summary(snap: &Snapshot) -> RunSummary {
                 .map(|ns| ns as f64 / 1e6)
         })
         .unwrap_or(0.0);
-    let events_processed = snap
-        .counters
-        .iter()
-        .find(|(n, _)| n == names::DES_EVENTS)
-        .map(|&(_, v)| v)
-        .unwrap_or(0);
+    let events_processed = counter(snap, names::DES_EVENTS);
     let queue_hwm = snap
         .gauges
         .iter()
@@ -106,19 +90,28 @@ pub fn summary_line(reg: &Registry) -> String {
         "telemetry: wall {:.1} ms | {} events | {:.0} events/s | queue hwm {}",
         s.wall_ms, s.events_processed, s.events_per_sec, s.queue_hwm
     );
-    let counter = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    };
-    let put = counter(names::OBJ_PUT_BYTES);
-    let get = counter(names::OBJ_GET_BYTES);
+    let put = counter(&snap, names::OBJ_PUT_BYTES);
+    let get = counter(&snap, names::OBJ_GET_BYTES);
     if put > 0 || get > 0 {
         line.push_str(&format!(" | obj put {put} B / get {get} B"));
     }
     line
+}
+
+/// Spans aggregated by name, sorted: `(name, count, total ns)`.
+fn spans_by_name(snap: &Snapshot) -> Vec<(String, u64, u64)> {
+    let mut agg: Vec<(String, u64, u64)> = Vec::new();
+    for ev in &snap.spans {
+        match agg.iter_mut().find(|(n, _, _)| *n == ev.name) {
+            Some((_, count, total)) => {
+                *count += 1;
+                *total += ev.dur_ns;
+            }
+            None => agg.push((ev.name.clone(), 1, ev.dur_ns)),
+        }
+    }
+    agg.sort();
+    agg
 }
 
 /// Flat metrics JSON: headline keys at the top level plus every
@@ -189,18 +182,7 @@ pub fn metrics_json(reg: &Registry) -> String {
         "\n  },\n"
     });
     out.push_str("  \"spans\": {");
-    // Aggregate spans by name: count + total duration.
-    let mut agg: Vec<(String, u64, u64)> = Vec::new();
-    for ev in &snap.spans {
-        match agg.iter_mut().find(|(n, _, _)| *n == ev.name) {
-            Some((_, count, total)) => {
-                *count += 1;
-                *total += ev.dur_ns;
-            }
-            None => agg.push((ev.name.clone(), 1, ev.dur_ns)),
-        }
-    }
-    agg.sort();
+    let agg = spans_by_name(&snap);
     for (i, (name, count, total_ns)) in agg.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -219,75 +201,35 @@ pub fn metrics_json(reg: &Registry) -> String {
     out
 }
 
-/// Chrome trace-event JSON (the `traceEvents` object form): one complete
-/// (`"ph": "X"`) event per span plus thread-name metadata, timestamps in
-/// microseconds since the registry epoch. Counters render as Perfetto
-/// counter tracks (`"ph": "C"`): with no live time series available,
-/// each nonzero counter gets a two-point 0 → final ramp across the run.
+/// Chrome trace-event JSON: one complete slice per span on a named track
+/// per recording thread, timed from the registry epoch. Counters render
+/// as Perfetto counter tracks: with no live time series available, each
+/// nonzero counter gets a two-point 0 → final ramp across the run.
 pub fn chrome_trace(reg: &Registry) -> String {
     chrome_trace_with_counters(reg, &[])
 }
 
 /// [`chrome_trace`] with explicit counter time series (as retained by a
 /// [`crate::live::LiveExporter`]): each `(name, points)` series becomes a
-/// Perfetto counter track with one `"ph": "C"` event per sample, so the
+/// Perfetto counter track with one counter event per sample, so the
 /// counter's trajectory lines up with the span tracks. An empty `series`
 /// falls back to two-point ramps from the final snapshot.
 pub fn chrome_trace_with_counters(reg: &Registry, series: &[(String, Vec<(u64, u64)>)]) -> String {
     let snap = reg.snapshot();
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    let mut first = true;
-    // Perfetto groups tracks by process; without a process_name metadata
-    // event the UI shows a bare "pid 1" header. Emit it whenever the
-    // trace has any content at all (an empty registry stays empty).
+    let mut trace = TraceWriter::default();
+    // Perfetto groups tracks by process; without a process name the UI
+    // shows a bare "pid 1" header. Emit it whenever the trace has any
+    // content at all (an empty registry stays empty).
     if !snap.threads.is_empty() || !snap.spans.is_empty() {
-        out.push_str(
-            "{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"process_name\", \
-             \"args\": {\"name\": \"pioeval\"}}",
-        );
-        first = false;
+        trace.name_process(1, "pioeval");
     }
     for (tid, name) in snap.threads.iter().enumerate() {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \"name\": \"thread_name\", \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            esc(name)
-        );
+        trace.name_thread(1, tid as u32, name);
     }
     for ev in &snap.spans {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"name\": \"{}\", \"cat\": \"{}\", \
-             \"ts\": {}, \"dur\": {}, \"args\": {{\"depth\": {}}}}}",
-            ev.tid,
-            esc(&ev.name),
-            esc(&ev.cat),
-            num(ev.start_ns as f64 / 1e3),
-            num(ev.dur_ns as f64 / 1e3),
-            ev.depth
-        );
+        let depth = [("depth", u64::from(ev.depth))];
+        trace.complete(1, ev.tid, &ev.name, &ev.cat, ev.start_ns, ev.dur_ns, &depth);
     }
-    let counter_event = |out: &mut String, first: &mut bool, name: &str, ts_us: u64, v: u64| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        let _ = write!(
-            out,
-            "{{\"ph\": \"C\", \"pid\": 1, \"tid\": 0, \"name\": \"{}\", \
-             \"ts\": {ts_us}, \"args\": {{\"value\": {v}}}}}",
-            esc(name)
-        );
-    };
     if series.is_empty() {
         // Post-mortem fallback: a flat-to-final ramp per nonzero counter
         // spanning the outermost recorded interval.
@@ -299,30 +241,24 @@ pub fn chrome_trace_with_counters(reg: &Registry, series: &[(String, Vec<(u64, u
             .unwrap_or(0)
             / 1_000;
         for (name, v) in snap.counters.iter().filter(|(_, v)| *v > 0) {
-            counter_event(&mut out, &mut first, name, 0, 0);
-            counter_event(&mut out, &mut first, name, end_us.max(1), *v);
+            trace.counter(1, name, 0, 0);
+            trace.counter(1, name, end_us.max(1) * 1_000, *v);
         }
     } else {
         for (name, points) in series {
             for &(ts_us, v) in points {
-                counter_event(&mut out, &mut first, name, ts_us, v);
+                trace.counter(1, name, ts_us.saturating_mul(1_000), v);
             }
         }
     }
-    out.push_str("\n]}");
-    out
+    trace.finish()
 }
 
-/// Human-readable metrics table.
+/// Human-readable metrics table, opening with the [`summary_line`].
 pub fn human_summary(reg: &Registry) -> String {
+    let mut out = summary_line(reg);
+    out.push('\n');
     let snap = reg.snapshot();
-    let s = run_summary(&snap);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "run: wall {:.1} ms | {} events | {:.0} events/s | queue hwm {}",
-        s.wall_ms, s.events_processed, s.events_per_sec, s.queue_hwm
-    );
     if !snap.counters.is_empty() {
         out.push_str("\ncounters\n");
         for (name, v) in &snap.counters {
@@ -350,17 +286,7 @@ pub fn human_summary(reg: &Registry) -> String {
             );
         }
     }
-    let mut agg: Vec<(String, u64, u64)> = Vec::new();
-    for ev in &snap.spans {
-        match agg.iter_mut().find(|(n, _, _)| *n == ev.name) {
-            Some((_, count, total)) => {
-                *count += 1;
-                *total += ev.dur_ns;
-            }
-            None => agg.push((ev.name.clone(), 1, ev.dur_ns)),
-        }
-    }
-    agg.sort();
+    let agg = spans_by_name(&snap);
     if !agg.is_empty() {
         out.push_str("\nspans (count, total)\n");
         for (name, count, total_ns) in &agg {
@@ -479,6 +405,86 @@ mod tests {
         );
         // The ramp ends at the outermost span's end (2 ms = 2000 µs).
         assert_eq!(as_u64(counters[1].get("ts").unwrap()), 2000);
+    }
+
+    /// One trace event as `ph pid tid name cat ts dur args`: strings
+    /// quoted, `ts`/`dur` rounded to whole nanoseconds, absent fields `-`.
+    fn event_line(e: &Value) -> String {
+        let text = |k: &str| match e.get(k) {
+            None => "-".to_string(),
+            Some(Value::Str(s)) => format!("{s:?}"),
+            Some(v) => panic!("{k}: expected string, got {v:?}"),
+        };
+        let ns = |k: &str| match e.get(k) {
+            None => "-".to_string(),
+            Some(v) => format!("{}", (as_f64(v) * 1e3).round() as u64),
+        };
+        let args = match e.get("args") {
+            None => "-".to_string(),
+            Some(Value::Map(entries)) => entries
+                .iter()
+                .map(|(k, v)| match v {
+                    Value::Str(s) => format!("{k}={s:?}"),
+                    v => format!("{k}={}", as_u64(v)),
+                })
+                .collect::<Vec<_>>()
+                .join(","),
+            Some(v) => panic!("args: expected object, got {v:?}"),
+        };
+        let Some(Value::Str(ph)) = e.get("ph") else {
+            panic!("event without ph: {e:?}");
+        };
+        format!(
+            "{ph} {} {} {} {} {} {} {}",
+            as_u64(e.get("pid").expect("pid")),
+            as_u64(e.get("tid").expect("tid")),
+            text("name"),
+            text("cat"),
+            ns("ts"),
+            ns("dur"),
+            args
+        )
+    }
+
+    #[test]
+    fn chrome_trace_with_counters_emits_every_event_exactly() {
+        let r = Registry::new();
+        r.counter(names::DES_EVENTS).add(1000);
+        let mut main = r.buffer("main");
+        main.push_raw(names::SPAN_RUN, "cli", 0, 2_000_000, 0);
+        main.push_raw("des.run", "des", 10_205, 1_020_999, 1);
+        r.merge(main);
+        let mut worker = r.buffer("worker \"1\"");
+        worker.push_raw("window\n1", "des", 12_001, 999, 0);
+        r.merge(worker);
+        let series = vec![
+            (
+                names::DES_EVENTS.to_string(),
+                vec![(0u64, 0u64), (1500, 900), (2000, 1000)],
+            ),
+            (names::OBJ_PUT_BYTES.to_string(), vec![(2000, 4096)]),
+        ];
+        let v = serde_json::parse(&chrome_trace_with_counters(&r, &series))
+            .expect("trace JSON must parse");
+        let lines: Vec<String> = as_seq(v.get("traceEvents").unwrap())
+            .iter()
+            .map(event_line)
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                r#"M 1 0 "process_name" - - - name="pioeval""#,
+                r#"M 1 0 "thread_name" - - - name="main""#,
+                r#"M 1 1 "thread_name" - - - name="worker \"1\"""#,
+                r#"X 1 0 "pioeval.run" "cli" 0 2000000 depth=0"#,
+                r#"X 1 0 "des.run" "des" 10205 1020999 depth=1"#,
+                r#"X 1 1 "window\n1" "des" 12001 999 depth=0"#,
+                r#"C 1 0 "des.events_processed" - 0 - value=0"#,
+                r#"C 1 0 "des.events_processed" - 1500000 - value=900"#,
+                r#"C 1 0 "des.events_processed" - 2000000 - value=1000"#,
+                r#"C 1 0 "obj.put_bytes" - 2000000 - value=4096"#,
+            ]
+        );
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //!   microseconds, per-OSS service time).
 //! * Spans — named wall-clock intervals with parent/child nesting,
 //!   recorded per thread and exported as Chrome trace events
-//!   (`chrome://tracing` / [Perfetto](https://ui.perfetto.dev)-loadable).
+//!   (`chrome://tracing` / [Perfetto](https://ui.perfetto.dev)-loadable)
+//!   through [`trace_event::TraceWriter`], the one trace-event writer the
+//!   request tracer and the DES profiler export through too.
 //! * [`LiveExporter`] — a sampler thread streaming delta-encoded JSONL
 //!   frames to a tailable file or TCP clients while the run is going
 //!   (see [`mod@live`]), without ever locking a hot path.
@@ -51,7 +53,7 @@
 //! let json = obs::export::metrics_json(obs::global());
 //! assert!(json.contains("demo.widgets"));
 //! let trace = obs::export::chrome_trace(obs::global());
-//! assert!(trace.contains("traceEvents"));
+//! assert!(trace.contains("demo.inner"));
 //! ```
 
 pub mod export;
@@ -60,6 +62,7 @@ pub mod metrics;
 pub mod names;
 pub mod registry;
 pub mod span;
+pub mod trace_event;
 
 pub use live::{LiveConfig, LiveExporter};
 pub use metrics::{Counter, Gauge, GaugeSnapshot, HistSnapshot, Histogram};

@@ -45,9 +45,9 @@
 //! same clock as span timestamps so live counter tracks line up with
 //! spans in a Chrome trace).
 
-use crate::export::esc;
 use crate::metrics::{GaugeSnapshot, HistSnapshot};
 use crate::registry::{InstrumentTotals, Registry};
+use crate::trace_event::esc;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, Write};

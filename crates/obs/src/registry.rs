@@ -143,8 +143,8 @@ impl Registry {
     }
 
     /// A private span buffer for one thread, tagged with a fresh tid.
-    pub fn buffer(&self, thread_name: &str) -> LocalBuffer {
-        LocalBuffer::new(self.register_thread(thread_name), self.epoch)
+    pub fn buffer(&self, thread: &str) -> LocalBuffer {
+        LocalBuffer::new(self.register_thread(thread), self.epoch)
     }
 
     /// Append one completed span event (the [`crate::SpanGuard`] path).

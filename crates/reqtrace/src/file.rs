@@ -5,23 +5,12 @@
 //! DES clock), not wall-clock time — the wall-clock self-telemetry
 //! Chrome trace comes from `--trace-out` instead.
 
-use crate::assemble::{Bucket, RequestRecord, Span};
+use crate::assemble::{Bucket, RequestRecord, Span, WIRE_ENTITY};
+use pioeval_obs::trace_event::{esc, TraceWriter};
 use pioeval_types::{ReqOp, SimTime, NO_COLLECTIVE};
 
 /// Format tag carried by the JSONL header line.
 pub const FORMAT: &str = "pioeval-reqtrace/1";
-
-fn esc(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
 
 /// Render the JSONL trace file: one header line
 /// (`{"format":"pioeval-reqtrace/1",...}`) followed by one line per
@@ -61,11 +50,10 @@ pub fn write_jsonl(requests: &[RequestRecord], incomplete: usize) -> String {
             if i > 0 {
                 out.push(',');
             }
-            let mut label = String::new();
-            esc(&s.label, &mut label);
             out.push_str(&format!(
-                "{{\"entity\":{},\"label\":\"{label}\",\"bucket\":\"{}\",\"start_ns\":{},\"end_ns\":{}}}",
+                "{{\"entity\":{},\"label\":\"{}\",\"bucket\":\"{}\",\"start_ns\":{},\"end_ns\":{}}}",
                 s.entity,
+                esc(&s.label),
                 s.bucket.name(),
                 s.start.as_nanos(),
                 s.end.as_nanos(),
@@ -149,88 +137,65 @@ pub fn read_jsonl(text: &str) -> Result<(Vec<RequestRecord>, usize), String> {
 /// Render a simulated-time Chrome trace (`chrome://tracing` /
 /// Perfetto): one track per server/gateway/fabric entity carrying its
 /// attributed spans, plus one track per rank carrying each request's
-/// whole `[issue, done]` interval. Timestamps are simulated
-/// microseconds.
+/// whole `[issue, done]` interval. Timestamps are simulated time.
 pub fn chrome_trace(requests: &[RequestRecord]) -> String {
-    let us = |t: SimTime| t.as_nanos() as f64 / 1000.0;
-    let mut events: Vec<String> = Vec::new();
+    let mut trace = TraceWriter::default();
     // Metadata events first, so Perfetto names the two process groups
     // and every track inside them instead of showing bare pid/tid
     // numbers. Ranks live under pid 1, server/gateway entities under
     // pid 2 (named by the label attributed spans carry).
     if !requests.is_empty() {
-        events.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"ranks\"}}"
-                .to_string(),
-        );
-        events.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
-             \"args\":{\"name\":\"servers\"}}"
-                .to_string(),
-        );
+        trace.name_process(1, "ranks");
+        trace.name_process(2, "servers");
         let mut ranks: Vec<u32> = requests.iter().map(|r| r.rank).collect();
         ranks.sort_unstable();
         ranks.dedup();
         for rank in ranks {
-            events.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{rank},\
-                 \"args\":{{\"name\":\"rank {rank}\"}}}}"
-            ));
+            trace.name_thread(1, rank, &format!("rank {rank}"));
         }
         let mut entities: Vec<(u32, &str)> = requests
             .iter()
             .flat_map(|r| r.spans.iter())
-            .filter(|s| s.entity != crate::assemble::WIRE_ENTITY)
+            .filter(|s| s.entity != WIRE_ENTITY)
             .map(|s| (s.entity, s.label.as_str()))
             .collect();
         entities.sort_unstable();
         entities.dedup_by_key(|(e, _)| *e);
         for (entity, label) in entities {
-            let mut name = String::new();
-            esc(label, &mut name);
-            events.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":{entity},\
-                 \"args\":{{\"name\":\"{name} ({entity})\"}}}}"
-            ));
+            trace.name_thread(2, entity, &format!("{label} ({entity})"));
         }
     }
     for r in requests {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"request\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-             \"ts\":{},\"dur\":{},\"args\":{{\"tid\":{},\"bytes\":{}}}}}",
-            r.op.name(),
+        let op = r.op.name();
+        trace.complete(
+            1,
             r.rank,
-            us(r.issue),
-            us(r.done) - us(r.issue),
-            r.tid,
-            r.bytes,
-        ));
-        for s in &r.spans {
-            if s.entity == crate::assemble::WIRE_ENTITY {
-                continue;
-            }
-            let mut label = String::new();
-            esc(&s.label, &mut label);
-            events.push(format!(
-                "{{\"name\":\"{label} {}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":2,\"tid\":{},\
-                 \"ts\":{},\"dur\":{},\"args\":{{\"tid\":{}}}}}",
-                r.op.name(),
-                s.bucket.name(),
+            op,
+            "request",
+            r.issue.as_nanos(),
+            r.latency().as_nanos(),
+            &[("tid", r.tid), ("bytes", r.bytes)],
+        );
+        for s in r.spans.iter().filter(|s| s.entity != WIRE_ENTITY) {
+            trace.complete(
+                2,
                 s.entity,
-                us(s.start),
-                us(s.end) - us(s.start),
-                r.tid,
-            ));
+                &format!("{} {op}", s.label),
+                s.bucket.name(),
+                s.start.as_nanos(),
+                s.end.since(s.start).as_nanos(),
+                &[("tid", r.tid)],
+            );
         }
     }
-    format!("{{\"traceEvents\":[{}]}}\n", events.join(","))
+    trace.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pioeval_types::SimDuration;
+    use serde_json::Value;
 
     fn sample() -> Vec<RequestRecord> {
         let t = SimTime::from_nanos;
@@ -303,6 +268,72 @@ mod tests {
         assert_eq!(named(meta[1]), "servers");
         assert_eq!(named(meta[2]), "rank 4");
         assert_eq!(named(meta[3]), "oss (12)");
+    }
+
+    /// One trace event as `ph pid tid name cat ts dur args`: strings
+    /// quoted, `ts`/`dur` rounded to whole nanoseconds, absent fields `-`.
+    fn event_line(e: &Value) -> String {
+        let int = |v: &Value| match v {
+            Value::U64(n) => *n,
+            v => panic!("expected integer, got {v:?}"),
+        };
+        let text = |k: &str| match e.get(k) {
+            None => "-".to_string(),
+            Some(Value::Str(s)) => format!("{s:?}"),
+            Some(v) => panic!("{k}: expected string, got {v:?}"),
+        };
+        let ns = |k: &str| match e.get(k) {
+            None => "-".to_string(),
+            Some(Value::U64(n)) => format!("{}", n * 1000),
+            Some(Value::F64(f)) => format!("{}", (f * 1e3).round() as u64),
+            Some(v) => panic!("{k}: expected number, got {v:?}"),
+        };
+        let args = match e.get("args") {
+            None => "-".to_string(),
+            Some(Value::Map(entries)) => entries
+                .iter()
+                .map(|(k, v)| match v {
+                    Value::Str(s) => format!("{k}={s:?}"),
+                    v => format!("{k}={}", int(v)),
+                })
+                .collect::<Vec<_>>()
+                .join(","),
+            Some(v) => panic!("args: expected object, got {v:?}"),
+        };
+        let Some(Value::Str(ph)) = e.get("ph") else {
+            panic!("event without ph: {e:?}");
+        };
+        format!(
+            "{ph} {} {} {} {} {} {} {}",
+            int(e.get("pid").expect("pid")),
+            int(e.get("tid").expect("tid")),
+            text("name"),
+            text("cat"),
+            ns("ts"),
+            ns("dur"),
+            args
+        )
+    }
+
+    #[test]
+    fn chrome_export_emits_every_event_exactly() {
+        let v = serde_json::parse(chrome_trace(&sample()).trim()).unwrap();
+        let Some(Value::Seq(events)) = v.get("traceEvents") else {
+            panic!("missing traceEvents");
+        };
+        let lines: Vec<String> = events.iter().map(event_line).collect();
+        let tid = (5u64 + 1) << 32 | 9;
+        assert_eq!(
+            lines,
+            [
+                r#"M 1 0 "process_name" - - - name="ranks""#.to_string(),
+                r#"M 2 0 "process_name" - - - name="servers""#.to_string(),
+                r#"M 1 4 "thread_name" - - - name="rank 4""#.to_string(),
+                r#"M 2 12 "thread_name" - - - name="oss (12)""#.to_string(),
+                format!(r#"X 1 4 "read" "request" 100 300 tid={tid},bytes=4096"#),
+                format!(r#"X 2 12 "oss read" "device" 150 250 tid={tid}"#),
+            ]
+        );
     }
 
     #[test]

@@ -19,6 +19,7 @@ use pioeval::core::{InterferenceCampaign, TargetConfig};
 use pioeval::lint::{lint_config, lint_dag, lint_dsl_source, lint_objstore_config, LintReport};
 use pioeval::monitor::SystemAnalysis;
 use pioeval::objstore::ObjStoreConfig;
+use pioeval::obs::trace_event::esc;
 use pioeval::prelude::*;
 use pioeval::types::SimTime;
 use pioeval::workloads::parse_program;
@@ -801,14 +802,17 @@ fn install_live(opts: &Options, default_run_id: &str) -> Result<(), String> {
 /// Post-run telemetry output shared by `run` and `dsl`: finalize the
 /// live stream first (its `done` frame and the post-mortem documents
 /// must describe the same totals), then the one-line summary (unless
-/// `--quiet`), the optional `--metrics` document, and the optional
+/// `--quiet`, or `--metrics human`, whose table opens with that line),
+/// the optional `--metrics` document, and the optional
 /// `--trace-out` Chrome trace file — with live counter time-series
 /// rendered as Perfetto counter tracks when a sampler ran.
 fn emit_telemetry(opts: &Options) -> Result<(), String> {
     let live = pioeval::obs::live::finish();
     let reg = pioeval::obs::global();
     if !opts.quiet {
-        say(opts, &format!("\n{}\n", summary_line(reg)));
+        if opts.metrics != Some(MetricsMode::Human) {
+            say(opts, &format!("\n{}\n", summary_line(reg)));
+        }
         if let Some(report) = &live {
             say(opts, &format!("live: {} frames emitted\n", report.frames));
         }
@@ -1914,7 +1918,7 @@ impl WatchState {
             s,
             ", \"run\": \"{}\", \"frames\": {}, \"malformed\": {}, \
              \"done\": {}, \"spans_done\": {}",
-            self.run.replace('"', "\\\""),
+            esc(&self.run),
             self.frames,
             self.malformed,
             self.done,
@@ -1922,14 +1926,15 @@ impl WatchState {
         );
         s.push_str(", \"counters\": {");
         for (i, (n, v)) in self.counters.iter().enumerate() {
-            let _ = write!(s, "{}\"{n}\": {v}", if i > 0 { ", " } else { "" });
+            let _ = write!(s, "{}\"{}\": {v}", if i > 0 { ", " } else { "" }, esc(n));
         }
         s.push_str("}, \"gauges\": {");
         for (i, (n, (last, max))) in self.gauges.iter().enumerate() {
             let _ = write!(
                 s,
-                "{}\"{n}\": {{\"last\": {last}, \"max\": {max}}}",
-                if i > 0 { ", " } else { "" }
+                "{}\"{}\": {{\"last\": {last}, \"max\": {max}}}",
+                if i > 0 { ", " } else { "" },
+                esc(n)
             );
         }
         s.push_str("}}");
@@ -2472,24 +2477,6 @@ fn parse_profile(doc: &serde_json::Value) -> Result<pioeval::types::ExecProfile,
     })
 }
 
-/// Escape `s` as the body of a JSON string literal.
-fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The `pioeval profile --json` attribution document (hand-rolled like
 /// every other machine surface in this binary).
 fn profile_json(p: &pioeval::types::ExecProfile, a: &pioeval::monitor::ProfileAnalysis) -> String {
@@ -2505,9 +2492,9 @@ fn profile_json(p: &pioeval::types::ExecProfile, a: &pioeval::monitor::ProfileAn
          \"ceiling_infinite_lookahead\": {:.4}",
         pioeval::types::ExecProfile::SCHEMA,
         a.threads,
-        json_escape(&p.backend),
-        json_escape(&p.window_policy),
-        json_escape(&p.partitioner),
+        esc(&p.backend),
+        esc(&p.window_policy),
+        esc(&p.partitioner),
         a.wall_ns,
         a.windows,
         a.total_compute_ns,
@@ -2526,9 +2513,9 @@ fn profile_json(p: &pioeval::types::ExecProfile, a: &pioeval::monitor::ProfileAn
             s,
             "{}{{\"name\": \"{}\", \"share\": {:.6}, \"detail\": \"{}\"}}",
             if i > 0 { ", " } else { "" },
-            json_escape(&c.name),
+            esc(&c.name),
             c.share,
-            json_escape(&c.detail)
+            esc(&c.detail)
         );
     }
     s.push_str("], \"critical\": [");

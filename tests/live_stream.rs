@@ -222,6 +222,34 @@ fn watch_follow_until_done_fails_without_done_frame() {
 }
 
 #[test]
+fn watch_json_escapes_run_id_and_instrument_names() {
+    let live = scratch("hostile.jsonl");
+    std::fs::write(
+        &live,
+        "{\"schema\":\"pioeval-live/1\",\"run\":\"job\\\\q\\\"7\",\"seq\":0,\"t_us\":10,\
+         \"kind\":\"done\",\"phase\":\"a\",\"open_spans\":0,\
+         \"counters\":{\"c\\\"1\":5},\"gauges\":{\"g\\\\2\":{\"last\":3,\"max\":4}}}\n",
+    )
+    .unwrap();
+    let watch = pioeval(&[
+        "watch",
+        live.to_str().unwrap(),
+        "--follow-until-done",
+        "--json",
+    ]);
+    std::fs::remove_file(&live).ok();
+    assert!(watch.status.success());
+    let stdout = String::from_utf8(watch.stdout).unwrap();
+    let replay = serde_json::parse(&stdout).expect("watch --json must be valid JSON");
+    assert_eq!(as_str(replay.get("run").unwrap()), "job\\q\"7");
+    let counters = as_map(replay.get("counters").unwrap());
+    assert_eq!(counters[0].0, "c\"1");
+    assert_eq!(as_u64(&counters[0].1), 5);
+    let gauges = as_map(replay.get("gauges").unwrap());
+    assert_eq!(gauges[0].0, "g\\2");
+}
+
+#[test]
 fn compare_renders_trends_over_archived_history() {
     let hist = scratch("history.jsonl");
     std::fs::write(

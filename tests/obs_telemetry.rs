@@ -147,4 +147,9 @@ fn metrics_human_mode_renders_table() {
         stdout.contains("des.events_processed"),
         "human metrics table missing counters: {stdout}"
     );
+    assert_eq!(
+        stdout.lines().filter(|l| l.contains("events/s")).count(),
+        1,
+        "headline printed more than once: {stdout}"
+    );
 }
