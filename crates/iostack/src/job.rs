@@ -269,6 +269,13 @@ pub fn drain_request_events(target: &mut StorageTarget, handle: &JobHandle) -> V
         StorageTarget::Pfs(c) => &mut c.sim,
         StorageTarget::ObjStore(c) => &mut c.sim,
     };
+    let ranked: usize = handle
+        .ranks
+        .iter()
+        .filter_map(|&id| sim.entity_ref::<RankClient>(id))
+        .map(|rank| rank.reqtrace.events.len())
+        .sum();
+    out.reserve_exact(ranked);
     for &id in &handle.ranks {
         if let Some(rank) = sim.entity_mut::<RankClient>(id) {
             out.extend(rank.reqtrace.drain());

@@ -479,13 +479,13 @@ impl Cluster {
     /// entities, in entity-id order (deterministic across executors —
     /// each entity's recorder is only ever appended to by that entity).
     pub fn drain_request_events(&mut self) -> Vec<ReqEvent> {
-        let mut out = Vec::new();
         let mut ids = vec![self.handles.compute_fabric, self.handles.storage_fabric];
         ids.extend(self.handles.repl_fabric);
         ids.extend(self.handles.mds.iter().copied());
         ids.extend(self.handles.oss.iter().copied());
         ids.extend(self.handles.ionodes.iter().copied());
         ids.sort_by_key(|id| id.0);
+        let mut out = Vec::with_capacity(ids.iter().map(|&id| self.recorded(id)).sum());
         for id in ids {
             if let Some(f) = self.sim.entity_mut::<Fabric>(id) {
                 out.extend(f.reqtrace.drain());
@@ -498,6 +498,17 @@ impl Cluster {
             }
         }
         out
+    }
+
+    /// How many request-trace events infrastructure entity `id` holds.
+    fn recorded(&self, id: EntityId) -> usize {
+        let sim = &self.sim;
+        sim.entity_ref::<Fabric>(id)
+            .map(|f| &f.reqtrace)
+            .or_else(|| sim.entity_ref::<MetadataServer>(id).map(|m| &m.reqtrace))
+            .or_else(|| sim.entity_ref::<Oss>(id).map(|o| &o.reqtrace))
+            .or_else(|| sim.entity_ref::<IoNode>(id).map(|n| &n.reqtrace))
+            .map_or(0, |r| r.events.len())
     }
 }
 

@@ -7,7 +7,7 @@
 
 use crate::assemble::{Bucket, RequestRecord, Span, WIRE_ENTITY};
 use pioeval_obs::trace_event::{esc, TraceWriter};
-use pioeval_types::{ReqOp, SimTime, NO_COLLECTIVE};
+use pioeval_types::{ReqOp, ServerKind, SimTime, NO_COLLECTIVE};
 
 /// Format tag carried by the JSONL header line.
 pub const FORMAT: &str = "pioeval-reqtrace/1";
@@ -53,7 +53,7 @@ pub fn write_jsonl(requests: &[RequestRecord], incomplete: usize) -> String {
             out.push_str(&format!(
                 "{{\"entity\":{},\"label\":\"{}\",\"bucket\":\"{}\",\"start_ns\":{},\"end_ns\":{}}}",
                 s.entity,
-                esc(&s.label),
+                esc(s.label),
                 s.bucket.name(),
                 s.start.as_nanos(),
                 s.end.as_nanos(),
@@ -73,10 +73,29 @@ fn get_u64(v: &serde_json::Value, key: &str) -> Result<u64, String> {
     }
 }
 
+/// A number that must fit a `u32` field (`rank`, `file`, `entity`,
+/// `collective`): larger values are an error, not a truncation.
+fn get_u32(v: &serde_json::Value, key: &str) -> Result<u32, String> {
+    let n = get_u64(v, key)?;
+    u32::try_from(n).map_err(|_| format!("field {key:?}: {n} does not fit in u32"))
+}
+
 fn get_str<'a>(v: &'a serde_json::Value, key: &str) -> Result<&'a str, String> {
     match v.get(key) {
         Some(serde_json::Value::Str(s)) => Ok(s),
         other => Err(format!("field {key:?}: expected string, got {other:?}")),
+    }
+}
+
+/// The static label an assembled span carries for `name`: `"wire"`,
+/// `"fabric"` or a [`ServerKind`] name.
+fn span_label(name: &str) -> Result<&'static str, String> {
+    match name {
+        "wire" => Ok("wire"),
+        "fabric" => Ok("fabric"),
+        _ => ServerKind::parse(name)
+            .map(ServerKind::name)
+            .ok_or_else(|| format!("unknown span label {name:?}")),
     }
 }
 
@@ -94,44 +113,49 @@ pub fn read_jsonl(text: &str) -> Result<(Vec<RequestRecord>, usize), String> {
     }
     let incomplete = get_u64(&header, "incomplete").unwrap_or(0) as usize;
 
-    let mut requests = Vec::new();
-    for (lineno, line) in lines.enumerate() {
-        let v = serde_json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 2))?;
-        let op_name = get_str(&v, "op")?;
-        let op = ReqOp::parse(op_name).ok_or_else(|| format!("unknown op {op_name:?}"))?;
-        let collective = match v.get("collective") {
-            Some(serde_json::Value::Null) | None => NO_COLLECTIVE,
-            Some(serde_json::Value::U64(n)) => *n as u32,
-            other => return Err(format!("field \"collective\": bad value {other:?}")),
-        };
-        let mut spans = Vec::new();
-        if let Some(serde_json::Value::Seq(items)) = v.get("spans") {
-            for s in items {
-                let bucket_name = get_str(s, "bucket")?;
-                let bucket = Bucket::parse(bucket_name)
-                    .ok_or_else(|| format!("unknown bucket {bucket_name:?}"))?;
-                spans.push(Span {
-                    entity: get_u64(s, "entity")? as u32,
-                    label: get_str(s, "label")?.to_string(),
-                    bucket,
-                    start: SimTime::from_nanos(get_u64(s, "start_ns")?),
-                    end: SimTime::from_nanos(get_u64(s, "end_ns")?),
-                });
-            }
-        }
-        requests.push(RequestRecord {
-            tid: get_u64(&v, "tid")?,
-            rank: get_u64(&v, "rank")? as u32,
-            op,
-            file: get_u64(&v, "file")? as u32,
-            bytes: get_u64(&v, "bytes")?,
-            collective,
-            issue: SimTime::from_nanos(get_u64(&v, "issue_ns")?),
-            done: SimTime::from_nanos(get_u64(&v, "done_ns")?),
-            spans,
-        });
-    }
+    let requests = lines
+        .enumerate()
+        .map(|(lineno, line)| read_request(line).map_err(|e| format!("line {}: {e}", lineno + 2)))
+        .collect::<Result<_, _>>()?;
     Ok((requests, incomplete))
+}
+
+/// Parse one request line of a JSONL trace file.
+fn read_request(line: &str) -> Result<RequestRecord, String> {
+    let v = serde_json::parse(line).map_err(|e| e.to_string())?;
+    let op_name = get_str(&v, "op")?;
+    let op = ReqOp::parse(op_name).ok_or_else(|| format!("unknown op {op_name:?}"))?;
+    let collective = match v.get("collective") {
+        Some(serde_json::Value::Null) | None => NO_COLLECTIVE,
+        Some(serde_json::Value::U64(_)) => get_u32(&v, "collective")?,
+        other => return Err(format!("field \"collective\": bad value {other:?}")),
+    };
+    let mut spans = Vec::new();
+    if let Some(serde_json::Value::Seq(items)) = v.get("spans") {
+        for s in items {
+            let bucket_name = get_str(s, "bucket")?;
+            let bucket = Bucket::parse(bucket_name)
+                .ok_or_else(|| format!("unknown bucket {bucket_name:?}"))?;
+            spans.push(Span {
+                entity: get_u32(s, "entity")?,
+                label: span_label(get_str(s, "label")?)?,
+                bucket,
+                start: SimTime::from_nanos(get_u64(s, "start_ns")?),
+                end: SimTime::from_nanos(get_u64(s, "end_ns")?),
+            });
+        }
+    }
+    Ok(RequestRecord {
+        tid: get_u64(&v, "tid")?,
+        rank: get_u32(&v, "rank")?,
+        op,
+        file: get_u32(&v, "file")?,
+        bytes: get_u64(&v, "bytes")?,
+        collective,
+        issue: SimTime::from_nanos(get_u64(&v, "issue_ns")?),
+        done: SimTime::from_nanos(get_u64(&v, "done_ns")?),
+        spans,
+    })
 }
 
 /// Render a simulated-time Chrome trace (`chrome://tracing` /
@@ -157,7 +181,7 @@ pub fn chrome_trace(requests: &[RequestRecord]) -> String {
             .iter()
             .flat_map(|r| r.spans.iter())
             .filter(|s| s.entity != WIRE_ENTITY)
-            .map(|s| (s.entity, s.label.as_str()))
+            .map(|s| (s.entity, s.label))
             .collect();
         entities.sort_unstable();
         entities.dedup_by_key(|(e, _)| *e);
@@ -211,14 +235,14 @@ mod tests {
             spans: vec![
                 Span {
                     entity: crate::assemble::WIRE_ENTITY,
-                    label: "wire".into(),
+                    label: "wire",
                     bucket: Bucket::Fabric,
                     start: t(100),
                     end: t(150),
                 },
                 Span {
                     entity: 12,
-                    label: "oss".into(),
+                    label: "oss",
                     bucket: Bucket::Device,
                     start: t(150),
                     end: t(400),
@@ -236,6 +260,47 @@ mod tests {
         assert_eq!(incomplete, 3);
         assert_eq!(back, reqs);
         assert_eq!(back[0].latency(), SimDuration::from_nanos(300));
+    }
+
+    /// `sample()` written out with `from` replaced by `to`.
+    fn edited(from: &str, to: &str) -> String {
+        let text = write_jsonl(&sample(), 0);
+        assert!(text.contains(from), "{from} not in {text}");
+        text.replacen(from, to, 1)
+    }
+
+    #[test]
+    fn jsonl_rejects_unknown_span_label() {
+        let err = read_jsonl(&edited(r#""label":"oss""#, r#""label":"osd""#)).unwrap_err();
+        assert_eq!(err, r#"line 2: unknown span label "osd""#);
+    }
+
+    #[test]
+    fn jsonl_rejects_u32_fields_out_of_range() {
+        for (from, to, field) in [
+            (r#""rank":4"#, r#""rank":4294967296"#, "rank"),
+            (r#""file":2"#, r#""file":4294967297"#, "file"),
+            (
+                r#""entity":12"#,
+                r#""entity":18446744073709551615"#,
+                "entity",
+            ),
+            (
+                r#""collective":1"#,
+                r#""collective":4294967296"#,
+                "collective",
+            ),
+        ] {
+            let err = read_jsonl(&edited(from, to)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("line 2: field {field:?}: "))
+                    && err.ends_with("does not fit in u32"),
+                "{err}"
+            );
+        }
+        // The largest u32 is a value, not an error: WIRE_ENTITY is one.
+        let (back, _) = read_jsonl(&edited(r#""rank":4"#, r#""rank":4294967295"#)).unwrap();
+        assert_eq!(back[0].rank, u32::MAX);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! tail-latency attribution, and per-collective critical paths.
 
 use crate::assemble::{Bucket, RequestRecord, BUCKETS};
-use pioeval_types::{percentile_u64, SimDuration, SimTime};
+use pioeval_types::{percentile_sorted, percentile_u64, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Exact nearest-rank tail percentiles of one latency population.
@@ -23,16 +23,15 @@ pub struct PercentileSet {
 impl PercentileSet {
     /// Compute from a sample population (zeroes when empty).
     pub fn from_samples(samples: &[u64]) -> Self {
-        if samples.is_empty() {
-            return PercentileSet::default();
-        }
-        let q = |p: f64| SimDuration::from_nanos(percentile_u64(samples, p));
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let q = |p: f64| SimDuration::from_nanos(percentile_sorted(&sorted, p));
         PercentileSet {
             p50: q(50.0),
             p95: q(95.0),
             p99: q(99.0),
             p999: q(99.9),
-            max: SimDuration::from_nanos(samples.iter().copied().max().unwrap_or(0)),
+            max: q(100.0),
         }
     }
 }
@@ -276,6 +275,7 @@ mod tests {
     use super::*;
     use crate::assemble::Span;
     use pioeval_types::{ReqOp, NO_COLLECTIVE};
+    use proptest::prelude::*;
 
     fn req(
         rank: u32,
@@ -299,14 +299,14 @@ mod tests {
             spans: vec![
                 Span {
                     entity: 1,
-                    label: "oss".into(),
+                    label: "oss",
                     bucket: Bucket::Queue,
                     start: issue,
                     end: queue_end,
                 },
                 Span {
                     entity: 1,
-                    label: "oss".into(),
+                    label: "oss",
                     bucket: Bucket::Device,
                     start: queue_end,
                     end: done,
@@ -361,5 +361,41 @@ mod tests {
         assert_eq!(p.slowest_rank, 1);
         assert_eq!(p.end, SimTime::from_nanos(500));
         assert_eq!(p.slowest_totals[Bucket::Queue.index()], 400);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-sort set equals one `percentile_u64` call per
+        /// percentile, on populations from one sample up, drawn from a
+        /// few values (duplicates) or a wide range.
+        #[test]
+        fn percentile_set_matches_per_percentile_sorts(
+            samples in prop::collection::vec(0u64..1_000_000, 1..300),
+            narrow in 0u64..2,
+        ) {
+            let samples: Vec<u64> = if narrow == 1 {
+                samples.iter().map(|s| s % 5).collect()
+            } else {
+                samples
+            };
+            let q = |p: f64| SimDuration::from_nanos(percentile_u64(&samples, p));
+            let want = PercentileSet {
+                p50: q(50.0),
+                p95: q(95.0),
+                p99: q(99.0),
+                p999: q(99.9),
+                max: SimDuration::from_nanos(*samples.iter().max().unwrap()),
+            };
+            prop_assert_eq!(PercentileSet::from_samples(&samples), want);
+        }
+    }
+
+    #[test]
+    fn percentile_set_of_one_sample_is_that_sample() {
+        let one = SimDuration::from_nanos(42);
+        let set = PercentileSet::from_samples(&[42]);
+        assert_eq!([set.p50, set.p95, set.p99, set.p999, set.max], [one; 5]);
+        assert_eq!(PercentileSet::from_samples(&[]), PercentileSet::default());
     }
 }

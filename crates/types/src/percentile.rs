@@ -34,6 +34,19 @@ pub fn percentile_u64(values: &[u64], p: f64) -> u64 {
     }
     let mut sorted = values.to_vec();
     sorted.sort_unstable();
+    percentile_sorted(&sorted, p)
+}
+
+/// Nearest-rank percentile of an already ascending slice, so that one
+/// sort serves several percentiles. Returns `0` on empty input.
+pub fn percentile_sorted(sorted: &[u64], p: f64) -> u64 {
+    debug_assert!(
+        sorted.is_sorted(),
+        "percentile_sorted needs ascending input"
+    );
+    if sorted.is_empty() {
+        return 0;
+    }
     sorted[nearest_rank_index(sorted.len(), p)]
 }
 
@@ -70,6 +83,7 @@ mod tests {
         assert_eq!(percentile(&v, 150.0), 30.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
         assert_eq!(percentile_u64(&[], 99.0), 0);
+        assert_eq!(percentile_sorted(&[], 99.0), 0);
     }
 
     #[test]

@@ -3090,7 +3090,7 @@ mod tests {
             done,
             spans: vec![rt::Span {
                 entity: 2,
-                label: "oss".into(),
+                label: "oss",
                 bucket: rt::Bucket::Device,
                 start: issue,
                 end: done,
